@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -620,7 +621,10 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for n, seed, x, v in pool.map(_converge_job, jobs):
                     results[(n, seed)] = (x, v)
-        except OSError:
+        except OSError as exc:
+            warnings.warn(f"converge: the process pool of {workers} workers failed "
+                          f"({exc!r}); running the jobs serially", RuntimeWarning,
+                          stacklevel=2)
             results = {}
     if not results:
         for job in jobs:

@@ -362,15 +362,43 @@ class GaussianPeriodized:
     def _norm1(self) -> float:
         return 1.0 / math.sqrt(2.0 * math.pi * self.width**2)
 
+    def _image_tail(self, n: int) -> float:
+        """Largest omitted term of the lattice sum truncated to ``|image| <= n``."""
+        x = (n + 0.5) * self.period
+        return self._norm1 * math.exp(-x * x / (2.0 * self.width**2))
+
     @cached_property
-    def _n_images(self) -> int:
-        if self.n_max is not None:
-            return self.n_max
+    def _auto_images(self) -> int:
         for n in range(1, _N_MAX_CAP + 1):
-            x = (n + 0.5) * self.period
-            if self._norm1 * math.exp(-x * x / (2.0 * self.width**2)) < _TAIL_TOL:
+            if self._image_tail(n) < _TAIL_TOL:
                 return n
         return _N_MAX_CAP
+
+    @property
+    def _n_images(self) -> int:
+        return self._auto_images if self.n_max is None else self.n_max
+
+    @cached_property
+    def _fourier_modes(self) -> np.ndarray | None:
+        """Theta-series coefficients ``c_k``, ``k = 0..K``, of the 1D factor.
+
+        By Poisson summation ``theta(s) = c_0 + sum_k 2 c_k cos(2 pi k s / D)``
+        with ``c_k = exp(-2 pi^2 k^2 w^2 / D^2) / D``; ``K`` is the smallest
+        mode with ``exp(-2 pi^2 K^2 w^2 / D^2) < 1e-14``, the tail rule of the
+        image count.  ``None`` when the truncated image sum that
+        :meth:`values` evaluates is not within that tail of the infinite
+        lattice sum (an explicit ``n_max`` below the automatic count, or a
+        width beyond the image cap), since the series then describes a
+        different kernel.
+        """
+        if (self._n_images < self._auto_images
+                or self._image_tail(self._auto_images) >= _TAIL_TOL):
+            return None
+        a = 2.0 * math.pi**2 * self.width**2 / self.period**2
+        k_max = 1
+        while math.exp(-a * k_max * k_max) >= _TAIL_TOL:
+            k_max += 1
+        return np.exp(-a * np.arange(k_max + 1.0) ** 2) / self.period
 
     @cached_property
     def _shifts(self) -> np.ndarray:

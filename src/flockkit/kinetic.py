@@ -57,6 +57,20 @@ __all__ = [
 ]
 
 _SPEED_TOL = 1e-9
+# relative tolerance on (span / dt) being a whole number of steps
+_GRID_RTOL = 1e-9
+
+
+def _grid_steps(span: float, dt: float, name: str) -> int:
+    """Number of ``dt`` steps in ``span``; ``InputError`` if it is off the step grid."""
+    ratio = span / dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio)):
+        raise InputError(
+            f"{name} = {span!r} is not on the step grid of dt = {dt!r} "
+            f"({name}/dt = {ratio!r})"
+        )
+    return steps
 
 
 @dataclass
@@ -333,7 +347,9 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     per-point path integral of the regularized overlap fraction
     ``h = m/(m + epsilon)`` (trapezoid rule) is returned, which the
     volume-contraction diagnostics consume.  Positions are never wrapped;
-    interaction evaluations use minimum images throughout.
+    interaction evaluations use minimum images throughout.  The span from
+    ``t_start`` to ``t_final`` and every record time must lie on the ``dt``
+    step grid; otherwise ``InputError`` is raised.
     """
     _validate_field(field, curve.domain)
     if not dt > 0.0:
@@ -347,7 +363,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
         )
     backward = t_final < t0
     h = -dt if backward else dt
-    n_steps = max(1, int(round(abs(t_final - t0) / dt))) if t_final != t0 else 0
+    n_steps = _grid_steps(abs(t_final - t0), dt, "|t_final - t_start|")
 
     extra = [] if record_times is None else [float(s) for s in record_times]
     record = sorted(set([t0, t_final] + extra), reverse=backward)
@@ -473,27 +489,34 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
     """Evolve a cloud under its own empirical mean-field increment.
 
     The resulting curve is an exact measure solution of the kinetic
-    equation; in plain mode it coincides with the particle system.
+    equation; in plain mode it coincides with the particle system.  ``T``
+    and every save time must be whole multiples of ``dt`` (to a relative
+    1e-9) within ``[0, T]``; anything else raises ``InputError`` instead of
+    being dropped or recorded late.
     """
     _validate_field(field, cloud.domain)
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
-    n_steps = int(round(T / dt))
+    n_steps = _grid_steps(float(T), dt, "T")
     extra = [] if save_times is None else [float(s) for s in save_times]
     save = sorted(set([0.0, float(T)] + extra))
+    save_steps = [_grid_steps(s, dt, "save time") for s in save]
+    if save_steps[0] < 0 or save_steps[-1] > n_steps:
+        raise InputError(f"save times must lie in [0, T] = [0, {T!r}], got {save}")
     x = cloud.x.copy()
     v = cloud.v.copy()
     rec_t: list[float] = []
     rec_x: list[np.ndarray] = []
     rec_v: list[np.ndarray] = []
 
-    def maybe_record(t: float) -> None:
-        while save and save[0] <= t + 1e-9:
+    def maybe_record(step: int) -> None:
+        while save_steps and save_steps[0] == step:
+            save_steps.pop(0)
             rec_t.append(save.pop(0))
             rec_x.append(x.copy())
             rec_v.append(v.copy())
 
-    maybe_record(0.0)
+    maybe_record(0)
     for step in range(n_steps):
         k1 = _field_rhs(x, v, x, v, field, cloud.domain)
         x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * k1
@@ -506,7 +529,7 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise NumericalError(f"non-finite cloud state at step {step + 1}")
-        maybe_record((step + 1) * dt)
+        maybe_record(step + 1)
 
     return MeasureCurve(domain=cloud.domain, times=np.asarray(rec_t),
                         x=np.stack(rec_x), v=np.stack(rec_v))
@@ -560,13 +583,17 @@ def stability_bound_check(cloud_a: PointCloud, cloud_b: PointCloud, field: Field
     transport distance to its initial value must stay below ``exp(c t)``
     (times ``slack``), with ``c`` assembled from the Lipschitz constant of
     the field and the interaction-mass lower bound.  Comparison happens in
-    log space so huge bounds do not overflow.
+    log space so huge bounds do not overflow.  The checks sit at the step
+    grid times nearest to ``n_checks`` evenly spaced times in ``(0, T]``.
     """
     consts = field_constants(field, cloud_a.domain)
     w0 = transport_distance(cloud_a, cloud_b)
     if w0 == 0.0:
         raise DegenerateInputError("initial clouds coincide; stability ratio undefined")
-    check_times = np.linspace(0.0, T, n_checks + 1)[1:]
+    even = np.linspace(0.0, T, n_checks + 1)[1:]
+    steps = np.rint(even / dt)
+    on_grid = np.abs(even / dt - steps) <= _GRID_RTOL * np.maximum(1.0, steps)
+    check_times = np.unique(np.where(on_grid, even, steps * dt))
     curve_a = evolve_cloud(cloud_a, field, T, dt, save_times=check_times)
     curve_b = evolve_cloud(cloud_b, field, T, dt, save_times=check_times)
     rows = []

@@ -312,3 +312,43 @@ class TestConvergenceCollation:
         assert lines[0] == "N,median_W_hat"
         assert lines[1].startswith("100,") and "0.6" in lines[1]
         assert lines[2].startswith("400,") and "0.25" in lines[2]
+
+
+SMALL_CONVERGE = """
+[run]
+scenario = converge
+seed = 4
+
+[domain]
+kind = torus
+d = 2
+size = 10.0
+
+[potential]
+kind = gaussian
+range = 1.0
+
+[converge]
+n_list = 20, 40
+n_ref = 80
+t_eval = 0.2
+seeds = 2
+dt = 0.1
+"""
+
+
+class TestConvergeRunner:
+    def test_pool_failure_warns_and_serial_run_matches(self, tmp_path, monkeypatch):
+        import flockkit.cli as cli_mod
+        monkeypatch.setenv("FLOCKKIT_THREADS", "2")
+        cfg = parse_config_text(SMALL_CONVERGE)
+        run_scenario(cfg, tmp_path / "pooled")
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes available")
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="2 workers.*no processes available"):
+            run_scenario(cfg, tmp_path / "serial")
+        pooled = (tmp_path / "pooled" / "convergence.csv").read_bytes()
+        assert (tmp_path / "serial" / "convergence.csv").read_bytes() == pooled

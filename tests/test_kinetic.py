@@ -10,6 +10,7 @@ from flockkit import (
     FieldSpec,
     FreeSpace,
     GaussianPeriodized,
+    InputError,
     LogGradBounded,
     PointCloud,
     Plain,
@@ -187,6 +188,13 @@ class TestFlow:
             flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=0.2, dt=0.01,
                                  record_times=[0.0333])
 
+    def test_final_time_off_the_step_grid_rejected(self):
+        # 1.0 / 0.3 steps used to return the t = 0.9 state labelled t = 1.0
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.1)
+        with pytest.raises(InputError, match="t_final - t_start"):
+            flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=1.0, dt=0.3)
+
     def test_curve_from_trajectory_and_lookup(self):
         from flockkit import ParticleEnsemble, integrate
         cloud = torus_cloud(6, seed=13)
@@ -267,6 +275,16 @@ class TestEvolveCloud:
         np.testing.assert_allclose(np.mod(curve.x[-1], 10.0), traj.q[-1], atol=1e-12)
         np.testing.assert_allclose(curve.v[-1], traj.p[-1], atol=1e-12)
 
+    def test_horizon_off_the_step_grid_rejected(self):
+        # T = 1, dt = 0.3 used to return a curve holding only t = 0
+        with pytest.raises(InputError, match=r"T/dt = 3\.33"):
+            evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=1.0, dt=0.3)
+
+    def test_save_time_off_the_step_grid_rejected(self):
+        with pytest.raises(InputError, match="save time"):
+            evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=0.5, dt=0.1,
+                         save_times=[0.25])
+
     def test_velocities_stay_in_unit_ball(self):
         cloud = torus_cloud(25, seed=21, sigma=0.45)
         curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.01)
@@ -284,6 +302,15 @@ class TestConvergence:
         rows = mean_field_convergence(sampler, [10, 20], 40, t_eval=0.2,
                                       field=PLAIN_FIELD, seeds=[1, 2], dt=0.02)
         assert all(row["W_hat"] <= 1e-9 for row in rows)
+
+    def test_eval_time_off_the_step_grid_rejected(self):
+        # t_eval = 0.25 with dt = 0.1 used to report W_hat of the initial clouds
+        def sampler(n, rng):
+            return torus_cloud(n, seed=int(rng.integers(1000)))
+
+        with pytest.raises(InputError, match="T/dt"):
+            mean_field_convergence(sampler, [10], 20, t_eval=0.25,
+                                   field=PLAIN_FIELD, seeds=[1], dt=0.1)
 
     def test_sampling_error_decreases_with_n(self):
         sampler_fn = torus_gaussian_sampler(TORUS, 0.3)
@@ -328,6 +355,15 @@ class TestStability:
         assert report.ok
         for row in report.rows:
             assert row["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_check_times_move_to_the_step_grid(self):
+        # thirds of T = 0.2 are off the dt = 0.01 grid; the states used to be
+        # taken a step late and labelled with the off-grid time
+        cloud_a = torus_cloud(20, seed=29)
+        cloud_b = PointCloud(TORUS, cloud_a.x + 0.3, cloud_a.v)
+        report = stability_bound_check(cloud_a, cloud_b, PLAIN_FIELD, T=0.2,
+                                       dt=0.01, n_checks=3)
+        assert [row["t"] for row in report.rows] == [0.07, 0.13, 0.2]
 
 
 class TestFieldConstants:
