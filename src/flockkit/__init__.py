@@ -69,7 +69,6 @@ from .spectral import (
     b_norm_check,
     c_matrix_gap,
     interaction_matrix,
-    jacobi_eigenvalues,
     operator_norm,
     spectrum,
     velocity_projector,

@@ -9,8 +9,9 @@ one of three paths:
   ``sum_j U_ij (u_j - v_i)``, which makes the aligned state an exact fixed
   point in floating point (the invariance tests rely on it);
 * **direct** (large band): matrix-product accumulation ``U u - v den`` over
-  row chunks of the kernel matrix; the factorized wrapped Gaussian is
-  evaluated in preallocated buffers without displacement vectors;
+  row chunks of the kernel matrix, with ``U u`` split into row blocks small
+  enough for one BLAS thread; the factorized wrapped Gaussian is evaluated
+  in preallocated buffers without displacement vectors;
 * **Fourier** (large band, periodized Gaussian on a torus of side
   ``period``): by Poisson summation each coordinate factor is the theta
   series ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
@@ -47,10 +48,11 @@ _CHUNK_ELEMS = 4_000_000
 # beyond this many pair entries the last-ulp-exact difference form gives way
 # to matrix products
 _LARGE_PAIRS = 1_000_000
-# multiply-adds per feature-matrix product on the Fourier path; it bounds a
-# feature chunk far below _CHUNK_ELEMS (no new memory peak), and products
-# this small stay on one OpenBLAS thread (its threshold is M N K > 4 * 65536),
-# which keeps the sums independent of the BLAS thread count
+# multiply-adds per matrix product on the direct large and Fourier paths;
+# products this small stay on one OpenBLAS thread (its threshold is
+# M N K > 4 * 65536), which keeps the sums independent of the BLAS thread
+# count, and on the Fourier path it bounds a feature chunk far below
+# _CHUNK_ELEMS (no new memory peak)
 _PRODUCT_MACS = 262_144
 # bound on |error| / (eps u0 sum_j |col_j|) of a Fourier-weighted column sum
 # (checked by the kernel tests), and the relative accuracy rows must keep
@@ -152,6 +154,7 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
     den = np.empty(n)
     s = np.empty((n, d))
     step = _row_chunks(n, m, d)
+    block = max(1, _PRODUCT_MACS // (m * d))
     scratch = None
     if large and isinstance(spec, GaussianPeriodized):
         scratch = _GaussianScratch(min(step, n), m)
@@ -160,7 +163,10 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
         w = _pair_values(spec, domain, x[lo:hi], y, scratch)
         den[lo:hi] = w.sum(axis=1)
         if large:
-            s[lo:hi] = w @ u - v[lo:hi] * den[lo:hi, None]
+            for b in range(lo, hi, block):
+                e = min(hi, b + block)
+                s[b:e] = w[b - lo:e - lo] @ u
+            s[lo:hi] -= v[lo:hi] * den[lo:hi, None]
         else:
             diff = u[None, :, :] - v[lo:hi, None, :]
             s[lo:hi] = np.einsum("ij,ijk->ik", w, diff)

@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.special import gammainc
+from scipy.spatial import cKDTree
+from scipy.special import digamma, gammainc
 
 from ._kernels import alignment_sums
 from .dynamics import Trajectory
@@ -36,9 +37,6 @@ __all__ = [
     "MomentReport",
     "moment_diagnostics",
 ]
-
-_EULER_GAMMA = 0.5772156649015328606
-
 
 @dataclass
 class JacobianReport:
@@ -98,38 +96,32 @@ def knn_entropy(points: np.ndarray, k: int = 4,
                 box: np.ndarray | None = None) -> float:
     """Nearest-neighbour differential entropy estimate (nats).
 
-    Classic k-th nearest neighbour construction with Euclidean distances;
-    dimensions with a positive entry in ``box`` are treated as periodic via
-    minimum images.  Independent of any transport identity, so it can serve
-    as the second route of an entropy cross-check.
+    Classic k-th nearest neighbour construction (Kozachenko-Leonenko) with
+    Euclidean distances, found with a k-d tree; dimensions with a positive
+    entry in ``box`` are periodic with that period.  Periodic coordinates
+    may lie outside ``[0, box)``: they are wrapped before the tree is built.
+    Independent of any transport identity, so it can serve as the second
+    route of an entropy cross-check.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float)
     n, m = pts.shape
-    if k >= n:
-        raise InputError(f"need more samples ({n}) than neighbours (k={k})")
-    period = None
+    if not 1 <= k < n:
+        raise InputError(f"need k >= 1 and more samples ({n}) than neighbours (k={k})")
+    boxsize = None
     if box is not None:
-        period = np.asarray(box, dtype=float)
+        size = np.asarray(box, dtype=float)
+        boxsize = np.where(size > 0.0, size, 0.0)
+        periodic = np.flatnonzero(boxsize)
+        wrapped = np.mod(pts[:, periodic], boxsize[periodic])
+        # np.mod rounds a tiny negative coordinate up to exactly the period
+        wrapped[wrapped == boxsize[periodic]] = 0.0
+        pts[:, periodic] = wrapped
 
-    radii = np.empty(n)
-    chunk = max(1, 8_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        delta = pts[lo:hi, None, :] - pts[None, :, :]
-        if period is not None:
-            for c in np.flatnonzero(period > 0.0):
-                delta[:, :, c] -= period[c] * np.rint(delta[:, :, c] / period[c])
-        dist2 = np.sum(np.square(delta), axis=-1)
-        # row self-distance is zero, so the k-th neighbour sits at order k
-        radii[lo:hi] = np.sqrt(np.partition(dist2, k, axis=1)[:, k])
-
-    def digamma_int(j: int) -> float:
-        return -_EULER_GAMMA + float(np.sum(1.0 / np.arange(1, j)))
-
-    log_vm = math.log(unit_ball_volume(m))
-    radii = np.clip(radii, 1e-300, None)
-    return (digamma_int(n) - digamma_int(k) + log_vm
-            + m * float(np.mean(np.log(radii))))
+    # the point itself is its own nearest neighbour, at distance zero
+    radii, _ = cKDTree(pts, boxsize=boxsize).query(pts, k=[k + 1])
+    radii = np.clip(radii[:, 0], 1e-300, None)
+    return float(digamma(n) - digamma(k) + math.log(unit_ball_volume(m))
+                 + m * np.mean(np.log(radii)))
 
 
 @dataclass

@@ -8,10 +8,10 @@ an explicit threshold is supplied for effective-connectivity diagnostics).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from ._kernels import kernel_table
 from .dynamics import ParticleEnsemble, Trajectory
@@ -59,21 +59,9 @@ def build_graph(state: ParticleEnsemble, spec: PotentialSpec,
 
 
 def is_connected(g: CommGraph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0 (self-loops ignored)."""
-    n = g.n
-    if n == 1:
-        return True
-    adj = g.adjacency.copy()
-    np.fill_diagonal(adj, False)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(adj[i] & ~seen):
-            seen[j] = True
-            queue.append(int(j))
-    return bool(seen.all())
+    """Whether the undirected graph has one connected component (self-loops ignored)."""
+    n_components, _ = connected_components(g.adjacency, directed=False)
+    return n_components == 1
 
 
 def detect_flocking(traj: Trajectory, spec: PotentialSpec, radius: float,

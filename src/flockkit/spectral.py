@@ -3,29 +3,29 @@
 The alignment weights form a row-stochastic matrix that is reversible with
 respect to the normalized row masses, so conjugating with the square root
 of that distribution yields a symmetric matrix with the same (real)
-spectrum.  Eigenvalues are computed with a deterministic cyclic Jacobi
-sweep.  The gap ``1 - lambda_2`` equals the spectral gap of the full
-phase-space generator, whose nonzero eigenvalues are the weight
-eigenvalues shifted by minus one.
+spectrum.  Eigenvalues come from LAPACK's symmetric solver
+(``scipy.linalg.eigvalsh``).  The gap ``1 - lambda_2`` equals the spectral
+gap of the full phase-space generator, whose nonzero eigenvalues are the
+weight eigenvalues shifted by minus one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from ._kernels import kernel_table
 from .dynamics import DynamicsMode, ParticleEnsemble, Plain, Regularized
 from .errors import InputError, NumericalError, PreconditionError
 from .geometry import FreeSpace, PotentialSpec, displacement_table
+from .graph import CommGraph, is_connected
 
 __all__ = [
     "InteractionMatrix",
     "SpectrumReport",
     "interaction_matrix",
-    "jacobi_eigenvalues",
     "spectrum",
     "c_matrix_gap",
     "velocity_projector",
@@ -81,69 +81,6 @@ def interaction_matrix(state: ParticleEnsemble, spec: PotentialSpec,
     return InteractionMatrix(a=a, stationary=stationary, substochastic=eps > 0.0)
 
 
-def _pattern_connected(a: np.ndarray) -> bool:
-    """Connectivity of the positive-entry pattern (irreducibility test)."""
-    n = a.shape[0]
-    if n == 1:
-        return True
-    adj = a > 0.0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(adj[i] & ~seen):
-            seen[j] = True
-            queue.append(int(j))
-    return bool(seen.all())
-
-
-def jacobi_eigenvalues(sym: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60
-                       ) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Deterministic row-cyclic sweeps; converges when the off-diagonal
-    Frobenius mass falls below ``tol`` relative to the matrix scale.
-    """
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise InputError(f"matrix must be square, got shape {a.shape}")
-    if n == 1:
-        return a.ravel().copy()
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(max_sweeps):
-        strict = a - np.diag(np.diag(a))
-        off = np.sqrt(np.sum(np.square(strict)))
-        if off <= tol * n * scale:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e8:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NumericalError(f"Jacobi eigenvalue iteration did not converge in {max_sweeps} sweeps")
-
-
 def spectrum(m: InteractionMatrix) -> SpectrumReport:
     """Real spectrum of the weight matrix via the reversibility symmetrization."""
     if not np.all(m.stationary > 0.0):
@@ -152,7 +89,7 @@ def spectrum(m: InteractionMatrix) -> SpectrumReport:
     sym = root[:, None] * m.a / root[None, :]
     residual = float(np.max(np.abs(sym - sym.T)))
     sym = 0.5 * (sym + sym.T)
-    eig = jacobi_eigenvalues(sym)[::-1]
+    eig = eigvalsh(sym)[::-1]
     gap = float(1.0 - eig[1]) if m.n > 1 else 1.0
     perron_simple = m.n > 1 and (eig[0] - eig[1]) > _SIMPLE_TOL
     return SpectrumReport(eigenvalues=eig, gap=gap, perron_simple=perron_simple,
@@ -176,18 +113,14 @@ def velocity_projector(m: InteractionMatrix) -> np.ndarray:
     eigenvector; applied per velocity component, its complement isolates
     the decaying modes.
     """
-    if not _pattern_connected(m.a):
+    if not is_connected(CommGraph(m.a > 0.0)):
         raise PreconditionError("projector requires an irreducible weight matrix")
     return np.outer(np.ones(m.n), m.stationary)
 
 
 def operator_norm(b: np.ndarray) -> float:
-    """Largest singular value, via the Jacobi spectrum of ``b^T b``."""
-    b = np.asarray(b, dtype=float)
-    gram = b.T @ b
-    gram = 0.5 * (gram + gram.T)
-    eig = jacobi_eigenvalues(gram)
-    return float(np.sqrt(max(eig[-1], 0.0)))
+    """Largest singular value (spectral norm)."""
+    return float(np.linalg.norm(np.asarray(b, dtype=float), 2))
 
 
 @dataclass

@@ -9,6 +9,7 @@ from flockkit import (
     FieldSpec,
     FreeSpace,
     GaussianPeriodized,
+    InputError,
     ParticleEnsemble,
     Plain,
     PointCloud,
@@ -22,6 +23,7 @@ from flockkit import (
     moment_diagnostics,
     torus_gaussian_sampler,
 )
+from flockkit.geometry import unit_ball_volume
 
 TORUS = Torus(2, 10.0)
 GAUSS = GaussianPeriodized(d=2, width=1.0, period=10.0)
@@ -81,6 +83,87 @@ class TestFlowJacobian:
         assert rep.rel_err < 1e-3
 
 
+def brute_knn_entropy(points, k=4, box=None):
+    """Reference estimate: all pair distances (minimum images on periodic axes),
+    the k-th neighbour by partition, digamma as a harmonic sum."""
+    pts = np.asarray(points, dtype=float)
+    n, m = pts.shape
+    delta = pts[:, None, :] - pts[None, :, :]
+    if box is not None:
+        period = np.asarray(box, dtype=float)
+        for c in np.flatnonzero(period > 0.0):
+            delta[:, :, c] -= period[c] * np.rint(delta[:, :, c] / period[c])
+    dist2 = np.sum(np.square(delta), axis=-1)
+    # row self-distance is zero, so the k-th neighbour sits at order k
+    radii = np.clip(np.sqrt(np.partition(dist2, k, axis=1)[:, k]), 1e-300, None)
+
+    def digamma_int(j):
+        return -0.5772156649015328606 + float(np.sum(1.0 / np.arange(1, j)))
+
+    return (digamma_int(n) - digamma_int(k) + math.log(unit_ball_volume(m))
+            + m * float(np.mean(np.log(radii))))
+
+
+def phase_points(d, n, seed, period=10.0):
+    """Torus positions plus free velocities, shape (n, 2d)."""
+    rng = np.random.default_rng(seed)
+    return np.hstack([rng.uniform(0.0, period, (n, d)), 0.3 * rng.standard_normal((n, d))])
+
+
+BOXES = {
+    "free": lambda d: None,
+    "periodic": lambda d: np.full(2 * d, 10.0),
+    "mixed": lambda d: np.concatenate([np.full(d, 10.0), np.zeros(d)]),
+}
+
+
+class TestKnnEntropyOracle:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("kind", BOXES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force(self, d, kind, k):
+        pts = phase_points(d, 700, seed=10 * d + k)
+        box = BOXES[kind](d)
+        ref = brute_knn_entropy(pts, k, box)
+        assert knn_entropy(pts, k, box) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_unwrapped_and_boundary_coordinates(self, k):
+        d = 2
+        pts = phase_points(d, 600, seed=3)
+        rng = np.random.default_rng(4)
+        pts[:, :d] += 10.0 * rng.integers(-3, 4, (600, d))  # whole periods
+        pts[:5, 0] = 10.0     # exactly at the period
+        pts[5:10, 1] = 0.0
+        pts[10:15, 0] = -1e-300  # np.mod rounds this up to the period
+        box = BOXES["mixed"](d)
+        ref = brute_knn_entropy(pts, k, box)
+        assert knn_entropy(pts, k, box) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("kind", BOXES)
+    def test_duplicate_points_hit_the_radius_clip(self, kind, k):
+        pts = phase_points(2, 400, seed=5)
+        pts[100:100 + k + 2] = pts[100]  # more than k copies: k-th radius is zero
+        box = BOXES[kind](2)
+        ref = brute_knn_entropy(pts, k, box)
+        assert knn_entropy(pts, k, box) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_rerun_is_bit_identical(self):
+        pts = phase_points(2, 3000, seed=6)
+        box = BOXES["mixed"](2)
+        first = knn_entropy(pts, 4, box)
+        assert knn_entropy(pts.copy(), 4, box) == first
+        assert knn_entropy(pts, 4, box) == first
+
+    def test_input_is_not_modified(self):
+        pts = phase_points(2, 200, seed=7)
+        pts[:, :2] += 20.0
+        before = pts.copy()
+        knn_entropy(pts, 4, BOXES["mixed"](2))
+        np.testing.assert_array_equal(pts, before)
+
+
 class TestKnnEntropy:
     def test_uniform_box(self):
         rng = np.random.default_rng(4)
@@ -103,6 +186,10 @@ class TestKnnEntropy:
     def test_needs_enough_samples(self):
         with pytest.raises(Exception):
             knn_entropy(np.zeros((3, 2)), k=4)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(InputError):
+            knn_entropy(np.zeros((10, 2)), k=0)
 
 
 class TestSampler:

@@ -143,6 +143,21 @@ def test_fourier_path_rejected(case):
     assert oracle_error(spec, dom, x, v, x, v, den, s, range(0, 1000, 97)) <= RTOL
 
 
+def test_direct_path_across_row_chunks():
+    # 2000-row chunks of the kernel matrix, each split into 131-row products
+    rng = np.random.default_rng(9)
+    spec, dom = CompactBump(d=2, radius=3.0), FreeSpace(2)
+    x = rng.uniform(0.0, 10.0, (2600, 2))
+    v = rng.uniform(-0.5, 0.5, (2600, 2))
+    y = rng.uniform(0.0, 10.0, (1000, 2))
+    u = rng.uniform(-0.5, 0.5, (1000, 2))
+    assert _kernels._row_chunks(2600, 1000, 2) == 2000
+    den, s, ran = sums_with_path(spec, dom, x, v, y, u)
+    assert ran["direct"] == 1
+    rows = [0, 130, 131, 1964, 1965, 1999, 2000, 2130, 2131, 2599]
+    assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
+
+
 def test_explicit_n_max_at_or_above_auto_keeps_fourier():
     base = GaussianPeriodized(d=2, width=1.0, period=10.0)
     spec = GaussianPeriodized(d=2, width=1.0, period=10.0, n_max=base._auto_images + 1)
@@ -174,17 +189,25 @@ def test_small_band_keeps_the_difference_form():
 
 
 def test_blas_thread_count_does_not_change_bits():
+    # one call per large-band product: the direct path (compact bump), the
+    # Fourier path, and the Fourier path with rows sent back to the direct one
     script = """
 import hashlib, numpy as np
-from flockkit import GaussianPeriodized, Torus, _kernels
+from flockkit import CompactBump, FreeSpace, GaussianPeriodized, Torus, _kernels
 rng = np.random.default_rng(6)
 x = rng.uniform(0, 10, (1500, 2)); v = rng.uniform(-.5, .5, (1500, 2))
 y = rng.uniform(0, 10, (900, 2)); u = rng.uniform(-.5, .5, (900, 2))
-den, s = _kernels.alignment_sums(GaussianPeriodized(d=2, width=1.0, period=10.0),
-                                 Torus(2, 10.0), x, v, y, u)
-assert _kernels.path_counts["fourier"] == 1
-assert _kernels.path_counts["fourier_fallback_rows"] == 0
-print(hashlib.sha256(den.tobytes() + s.tobytes()).hexdigest())
+gauss, torus = GaussianPeriodized(d=2, width=1.0, period=10.0), Torus(2, 10.0)
+clustered = np.mod(5.0 + 0.4 * rng.standard_normal((800, 2)), 10.0)
+calls = [(CompactBump(d=2, radius=3.0), FreeSpace(2), x, v, y, u),
+         (gauss, torus, x, v, y, u),
+         (gauss, torus, x, v, clustered, u[:800])]
+for call, path in zip(calls, ("direct", "fourier", "fourier_fallback_rows")):
+    before = _kernels.path_counts[path]
+    den, s = _kernels.alignment_sums(*call)
+    assert _kernels.path_counts[path] > before, path
+    print(hashlib.sha256(den.tobytes() + s.tobytes()).hexdigest())
+assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] == 1
 """
     src = str(Path(_kernels.__file__).resolve().parents[1])
     digests = []
@@ -193,5 +216,6 @@ print(hashlib.sha256(den.tobytes() + s.tobytes()).hexdigest())
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        digests.append(out.stdout.strip())
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 3
     assert digests[0] == digests[1]

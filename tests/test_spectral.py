@@ -13,7 +13,6 @@ from flockkit import (
     c_matrix_gap,
     integrate,
     interaction_matrix,
-    jacobi_eigenvalues,
     operator_norm,
     spectrum,
     velocity_projector,
@@ -34,24 +33,39 @@ def random_connected_state(rng, n=10, spread=1.2):
     return positions_state(q)
 
 
-class TestJacobi:
-    def test_matches_lapack_oracle(self):
-        rng = np.random.default_rng(0)
-        for n in (2, 5, 17, 40):
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            mine = jacobi_eigenvalues(a)
-            ref = np.linalg.eigvalsh(a)
-            scale = max(1.0, np.max(np.abs(ref)))
-            assert np.max(np.abs(mine - ref)) < 1e-11 * scale
+def eigvals_oracle(m):
+    """Real parts of the general (nonsymmetric) eigenvalues of the weight matrix,
+    in descending order."""
+    return np.sort(np.linalg.eigvals(m.a).real)[::-1]
 
-    def test_diagonal_and_degenerate(self):
-        np.testing.assert_allclose(jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])),
-                                   [-1.0, 2.0, 3.0])
-        np.testing.assert_allclose(jacobi_eigenvalues(np.eye(5)), np.ones(5))
+
+class TestSpectrumOracle:
+    def test_matches_general_eigensolver(self):
+        rng = np.random.default_rng(0)
+        for idx, n in enumerate((2, 5, 17, 40)):
+            spec = (LogGradBounded(d=2, decay=1.0), CompactBump(d=2, radius=1.0))[idx % 2]
+            m = interaction_matrix(positions_state(rng.uniform(0.0, 3.0, (n, 2))), spec)
+            eig = spectrum(m).eigenvalues
+            assert eig.shape == (n,)
+            assert np.all(np.diff(eig) <= 0.0)
+            assert np.max(np.abs(eig - eigvals_oracle(m))) <= 1e-12
 
     def test_one_by_one(self):
-        np.testing.assert_array_equal(jacobi_eigenvalues(np.array([[4.0]])), [4.0])
+        m = interaction_matrix(positions_state([[0.3, -0.2]]), CompactBump(d=2, radius=1.0))
+        report = spectrum(m)
+        np.testing.assert_array_equal(report.eigenvalues, [1.0])
+        assert report.gap == 1.0 and not report.perron_simple
+
+    def test_degenerate(self):
+        spec = CompactBump(d=2, radius=1.0)
+        # isolated particles: identity weights, eigenvalue one of multiplicity three
+        iso = interaction_matrix(positions_state([[0, 0], [5, 0], [10, 0]]), spec)
+        # all particles overlapping: rank one, eigenvalue zero of multiplicity five
+        lump = interaction_matrix(positions_state(np.zeros((6, 2))), spec)
+        for m, expected in ((iso, np.ones(3)), (lump, [1.0, 0, 0, 0, 0, 0])):
+            eig = spectrum(m).eigenvalues
+            np.testing.assert_allclose(eig, expected, atol=1e-12)
+            assert np.max(np.abs(eig - eigvals_oracle(m))) <= 1e-12
 
 
 class TestInteractionMatrix:
