@@ -350,9 +350,13 @@ def build_initial_state(cfg: RunConfig, domain, spec) -> ParticleEnsemble:
 
 
 def _resolve_dt(cfg: RunConfig, spec, w0: ParticleEnsemble) -> float:
+    """Configured step, else the largest step on the grid of ``t`` not above the rule."""
     dt = cfg.get("dynamics", "dt")
     if dt is None:
         dt = dynamics.default_dt(spec, w0)
+        t = cfg.get("dynamics", "t")
+        if t > 0.0:
+            dt = t / math.ceil(t / dt)
     return dt
 
 

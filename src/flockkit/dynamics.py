@@ -1,4 +1,5 @@
-"""N-particle alignment dynamics and its fixed-step integrator.
+"""N-particle alignment dynamics and the fixed-step RK4 stepper it shares
+with the kinetic cloud and characteristics integrators.
 
 The velocity of every particle relaxes toward the interaction-weighted
 average velocity of its neighbours; the weight of particle ``j`` in the
@@ -12,13 +13,13 @@ stability properties of trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from ._kernels import alignment_sums
 from .errors import InputError, NumericalError
-from .geometry import Domain, PotentialSpec, Torus, wrap_positions
+from .geometry import Domain, PotentialSpec, wrap_positions
 
 __all__ = [
     "ParticleEnsemble",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 _DEN_FLOOR = 1e-30
+# relative tolerance on (span / dt) being a whole number of steps
+_GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,7 @@ def rhs(state: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode = Plain
     """Time derivative ``(dq, dp)`` of the particle system."""
     if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise InputError("non-finite state passed to rhs")
-    den, s = alignment_sums(spec, state.domain, state.q, state.p, state.q, state.p)
-    eps = _mode_epsilon(mode)
-    if eps == 0.0 and float(den.min()) < _DEN_FLOOR:
-        raise NumericalError(
-            "interaction row mass underflowed below 1e-30 in plain mode; "
-            "check the potential configuration"
-        )
-    dp = s / (den + eps)[:, None]
+    dp = _rhs_arrays(state.q, state.p, state.domain, spec, _mode_epsilon(mode))
     return state.p.copy(), dp
 
 
@@ -163,6 +159,57 @@ def _rhs_arrays(q: np.ndarray, p: np.ndarray, domain: Domain, spec: PotentialSpe
             "check the potential configuration"
         )
     return s / (den + eps)[:, None]
+
+
+def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   x: np.ndarray, v: np.ndarray, h: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fourth-order increments ``(dx, dv)`` of ``x' = v``, ``v' = accel(x, v)``.
+
+    The single fixed-step stepper of the package (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.1); ``h`` may be negative for backward flow.
+    """
+    k1 = accel(x, v)
+    v2 = v + 0.5 * h * k1
+    k2 = accel(x + 0.5 * h * v, v2)
+    v3 = v + 0.5 * h * k2
+    k3 = accel(x + 0.5 * h * v2, v3)
+    v4 = v + h * k3
+    k4 = accel(x + h * v3, v4)
+    return ((h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _grid_steps(span: float, dt: float, name: str) -> int:
+    """Number of ``dt`` steps in ``span``; ``InputError`` unless it is a whole number >= 0."""
+    if not dt > 0.0:
+        raise InputError(f"dt must be positive, got {dt}")
+    ratio = span / dt
+    steps = int(round(ratio))
+    if steps < 0 or abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio)):
+        raise InputError(
+            f"{name} = {span!r} is not on the nonnegative step grid of dt = {dt!r} "
+            f"({name}/dt = {ratio!r})"
+        )
+    return steps
+
+
+def _grid_indices(times: list[float], t0: float, h: float, n_steps: int,
+                  name: str) -> list[int]:
+    """Step ``k`` of each time ``t0 + k h``; ``InputError`` unless ``0 <= k <= n_steps``."""
+    steps = [_grid_steps(s - t0 if h > 0 else t0 - s, abs(h), name) for s in times]
+    if max(steps) > n_steps:
+        raise InputError(f"{name}s {times} must lie within {n_steps} steps of {t0!r}")
+    return steps
+
+
+def _require_finite(what: str, step: int, t: float, *arrays: np.ndarray) -> None:
+    """``NumericalError`` naming the step and the time if any array is non-finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(
+            f"non-finite {what} at step {step} (t = {t:.6g}); "
+            "reduce dt or check the configuration"
+        )
 
 
 def _frame_metrics(t: float, p: np.ndarray) -> MetricsRecord:
@@ -182,20 +229,18 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
               T: float, dt: float, save_every: int = 1) -> Trajectory:
     """Integrate the system with the classical fourth-order one-step method.
 
-    The grid is uniform with step ``dt``; every ``save_every``-th step (plus
-    the final one) is recorded.  Torus positions are wrapped once per step;
-    all displacement evaluations use minimum images, so the right-hand side
-    is wrap-consistent.  Deterministic for fixed inputs.
+    The grid is uniform with step ``dt``; ``T`` must be a whole multiple of
+    ``dt`` (to a relative 1e-9), otherwise ``InputError`` is raised, and the
+    final frame is labelled ``T``.  Every ``save_every``-th step (plus the
+    final one) is recorded.  Torus positions are wrapped once per step; all
+    displacement evaluations use minimum images, so the right-hand side is
+    wrap-consistent.  Deterministic for fixed inputs.
     """
-    if not dt > 0.0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if T < 0.0:
-        raise InputError(f"horizon must be nonnegative, got {T}")
+    n_steps = _grid_steps(float(T), dt, "T")
     if save_every < 1:
         raise InputError("save_every must be >= 1")
     domain = w0.domain
     eps = _mode_epsilon(mode)
-    n_steps = int(round(T / dt))
     q = wrap_positions(domain, w0.q.copy())
     q_raw = w0.q.copy()
     p = w0.p.copy()
@@ -207,31 +252,20 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
     metrics = [_frame_metrics(0.0, p)]
     max_speed = metrics[0].max_speed
 
-    for step in range(1, n_steps + 1):
-        k1p = _rhs_arrays(q, p, domain, spec, eps)
-        k1q = p
-        k2p = _rhs_arrays(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, domain, spec, eps)
-        k2q = p + 0.5 * dt * k1p
-        k3p = _rhs_arrays(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, domain, spec, eps)
-        k3q = p + 0.5 * dt * k2p
-        k4p = _rhs_arrays(q + dt * k3q, p + dt * k3p, domain, spec, eps)
-        k4q = p + dt * k3p
+    def accel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _rhs_arrays(x, v, domain, spec, eps)
 
-        dq = (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    for step in range(1, n_steps + 1):
+        dq, dp = _rk4_increment(accel, q, p, dt)
         q_raw = q_raw + dq
         q = wrap_positions(domain, q + dq)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise NumericalError(
-                f"non-finite state at step {step} (t = {step * dt:.6g}); "
-                "reduce dt or check the configuration"
-            )
+        p = p + dp
+        t = float(T) if step == n_steps else step * dt
+        _require_finite("state", step, t, p, q)
         speed = float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
         max_speed = max(max_speed, speed)
 
         if step % save_every == 0 or step == n_steps:
-            t = step * dt
             times.append(t)
             frames_q.append(q.copy())
             frames_p.append(p.copy())

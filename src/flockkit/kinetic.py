@@ -21,8 +21,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._kernels import alignment_sums
-from .dynamics import DynamicsMode, Plain, Regularized, Trajectory
-from .errors import ConfigError, DegenerateInputError, InputError, NumericalError
+from .dynamics import (
+    DynamicsMode,
+    Plain,
+    Regularized,
+    Trajectory,
+    _GRID_RTOL,
+    _grid_indices,
+    _grid_steps,
+    _require_finite,
+    _rk4_increment,
+)
+from .errors import ConfigError, DegenerateInputError, InputError
 from .geometry import (
     CompactBump,
     Domain,
@@ -57,20 +67,6 @@ __all__ = [
 ]
 
 _SPEED_TOL = 1e-9
-# relative tolerance on (span / dt) being a whole number of steps
-_GRID_RTOL = 1e-9
-
-
-def _grid_steps(span: float, dt: float, name: str) -> int:
-    """Number of ``dt`` steps in ``span``; ``InputError`` if it is off the step grid."""
-    ratio = span / dt
-    steps = int(round(ratio))
-    if abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio)):
-        raise InputError(
-            f"{name} = {span!r} is not on the step grid of dt = {dt!r} "
-            f"({name}/dt = {ratio!r})"
-        )
-    return steps
 
 
 @dataclass
@@ -240,12 +236,6 @@ class LipschitzReport:
         return self.L_emp <= self.L_paper + 1e-12
 
 
-def _local_average(x: np.ndarray, cloud: PointCloud, field: FieldSpec) -> np.ndarray:
-    """Interaction-weighted average cloud velocity at positions ``x`` (no -v term)."""
-    zeros = np.zeros_like(x)
-    return _field_rhs(x, zeros, cloud.x, cloud.v, field, cloud.domain)
-
-
 def lipschitz_probe(field: FieldSpec, cloud: PointCloud, samples: int,
                     rng: np.random.Generator | None = None) -> LipschitzReport:
     """Empirical Lipschitz quotient of the averaged field versus the known constant.
@@ -259,21 +249,7 @@ def lipschitz_probe(field: FieldSpec, cloud: PointCloud, samples: int,
     rng = rng or np.random.default_rng(0)
     spec = field.spec
     domain = cloud.domain
-    if isinstance(field.mode, Plain) and isinstance(spec, LogGradBounded) and spec.period:
-        lemma, l_paper = "log-grad-bounded", 2.0 * spec.log_grad_bound
-    elif isinstance(field.mode, Plain) and isinstance(spec, GaussianPeriodized):
-        lemma, l_paper = "gaussian-periodized", domain.size / spec.width**2
-    elif isinstance(field.mode, Regularized) and isinstance(spec, CompactBump):
-        if spec.grad_sup > 1.0 + 1e-12:
-            raise ConfigError(
-                f"regularized Lipschitz regime needs grad sup <= 1, got {spec.grad_sup:.6g}"
-            )
-        lemma, l_paper = "regularized", 2.0 / field.mode.epsilon
-    else:
-        raise ConfigError(
-            "field does not match any Lipschitz regime "
-            "(log-grad/Gaussian on torus in plain mode, compact support regularized)"
-        )
+    consts = field_constants(field, domain)
     _validate_field(field, domain)
 
     if isinstance(domain, Torus):
@@ -285,23 +261,18 @@ def lipschitz_probe(field: FieldSpec, cloud: PointCloud, samples: int,
         xs = rng.uniform(lo, hi, size=(samples, domain.d))
         zs = xs + rng.uniform(-spec.radius, spec.radius, size=(samples, domain.d))
 
-    if lemma == "regularized":
-        v = np.zeros((samples, domain.d))
-        fx = _field_rhs(xs, v, cloud.x, cloud.v, field, domain, literal=True)
-        fz = _field_rhs(zs, v, cloud.x, cloud.v, field, domain, literal=True)
-    else:
-        fx = _local_average(xs, cloud, field)
-        fz = _local_average(zs, cloud, field)
+    # at zero velocity the increment is the local average cloud velocity
+    v = np.zeros((samples, domain.d))
+    fx = _field_rhs(xs, v, cloud.x, cloud.v, field, domain)
+    fz = _field_rhs(zs, v, cloud.x, cloud.v, field, domain)
 
+    delta = xs - zs
     if isinstance(domain, Torus):
-        delta = xs - zs
         delta -= domain.size * np.rint(delta / domain.size)
-    else:
-        delta = xs - zs
     dist = np.sqrt(np.sum(np.square(delta), axis=1))
     keep = dist > 1e-9
     quot = np.max(np.abs(fx - fz), axis=1)[keep] / dist[keep]
-    return LipschitzReport(lemma=lemma, L_emp=float(quot.max()), L_paper=l_paper)
+    return LipschitzReport(lemma=consts.lemma, L_emp=float(quot.max()), L_paper=consts.L)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +319,11 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     ``h = m/(m + epsilon)`` (trapezoid rule) is returned, which the
     volume-contraction diagnostics consume.  Positions are never wrapped;
     interaction evaluations use minimum images throughout.  The span from
-    ``t_start`` to ``t_final`` and every record time must lie on the ``dt``
-    step grid; otherwise ``InputError`` is raised.
+    ``t_start`` to ``t_final`` and every record time (within that span) must
+    lie on the ``dt`` step grid; otherwise ``InputError`` is raised before
+    any step is taken.
     """
     _validate_field(field, curve.domain)
-    if not dt > 0.0:
-        raise InputError(f"dt must be positive, got {dt}")
     x, v = _as_batch(w0)
     t0 = float(curve.times[0]) if t_start is None else float(t_start)
     span_lo, span_hi = float(curve.times[0]), float(curve.times[-1])
@@ -367,6 +337,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
 
     extra = [] if record_times is None else [float(s) for s in record_times]
     record = sorted(set([t0, t_final] + extra), reverse=backward)
+    record_steps = _grid_indices(record, t0, h, n_steps, "record time")
     rec_times: list[float] = []
     rec_x: list[np.ndarray] = []
     rec_v: list[np.ndarray] = []
@@ -382,47 +353,35 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
         mass = den / curve.x[k].shape[0]
         return mass / (mass + eps)
 
-    def maybe_record(t: float) -> None:
-        while record and abs(record[0] - t) <= 1e-9:
+    def maybe_record(step: int) -> None:
+        while record_steps and record_steps[0] == step:
+            record_steps.pop(0)
             rec_times.append(record.pop(0))
             rec_x.append(x.copy())
             rec_v.append(v.copy())
             rec_overlap.append(overlap.copy())
 
     t = t0
-    maybe_record(t)
+    maybe_record(0)
     h_prev = overlap_fraction(x, t) if want_overlap else None
-    for step in range(n_steps):
+    for step in range(1, n_steps + 1):
         k = curve.index_at(t if not backward else t + h)
         cx, cv = curve.x[k], curve.v[k]
 
-        k1 = _field_rhs(x, v, cx, cv, field, curve.domain)
-        v2 = v + 0.5 * h * k1
-        x2 = x + 0.5 * h * v
-        k2 = _field_rhs(x2, v2, cx, cv, field, curve.domain)
-        v3 = v + 0.5 * h * k2
-        x3 = x + 0.5 * h * v2
-        k3 = _field_rhs(x3, v3, cx, cv, field, curve.domain)
-        v4 = v + h * k3
-        x4 = x + h * v3
-        k4 = _field_rhs(x4, v4, cx, cv, field, curve.domain)
+        def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
+            return _field_rhs(xx, vv, cx, cv, field, curve.domain)
 
-        x = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (step + 1) * h
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
-            raise NumericalError(f"non-finite characteristics at step {step + 1}")
+        dx, dv = _rk4_increment(accel, x, v, h)
+        x = x + dx
+        v = v + dv
+        t = t0 + step * h
+        _require_finite("characteristics", step, t, x, v)
         if want_overlap:
             h_now = overlap_fraction(x, t)
             overlap += 0.5 * abs(h) * (h_prev + h_now)
             h_prev = h_now
-        maybe_record(t)
+        maybe_record(step)
 
-    maybe_record(t_final)
-    if record:
-        raise InputError(
-            f"record times {record} do not lie on the integration step grid"
-        )
     return FlowPath(times=np.asarray(rec_times), x=np.stack(rec_x),
                     v=np.stack(rec_v),
                     overlap_integral=np.stack(rec_overlap) if want_overlap else None)
@@ -495,14 +454,10 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
     being dropped or recorded late.
     """
     _validate_field(field, cloud.domain)
-    if not dt > 0.0:
-        raise InputError(f"dt must be positive, got {dt}")
     n_steps = _grid_steps(float(T), dt, "T")
     extra = [] if save_times is None else [float(s) for s in save_times]
     save = sorted(set([0.0, float(T)] + extra))
-    save_steps = [_grid_steps(s, dt, "save time") for s in save]
-    if save_steps[0] < 0 or save_steps[-1] > n_steps:
-        raise InputError(f"save times must lie in [0, T] = [0, {T!r}], got {save}")
+    save_steps = _grid_indices(save, 0.0, dt, n_steps, "save time")
     x = cloud.x.copy()
     v = cloud.v.copy()
     rec_t: list[float] = []
@@ -516,20 +471,16 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
             rec_x.append(x.copy())
             rec_v.append(v.copy())
 
+    def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        return _field_rhs(xx, vv, xx, vv, field, cloud.domain)
+
     maybe_record(0)
-    for step in range(n_steps):
-        k1 = _field_rhs(x, v, x, v, field, cloud.domain)
-        x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * k1
-        k2 = _field_rhs(x2, v2, x2, v2, field, cloud.domain)
-        x3, v3 = x + 0.5 * dt * v2, v + 0.5 * dt * k2
-        k3 = _field_rhs(x3, v3, x3, v3, field, cloud.domain)
-        x4, v4 = x + dt * v3, v + dt * k3
-        k4 = _field_rhs(x4, v4, x4, v4, field, cloud.domain)
-        x = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
-            raise NumericalError(f"non-finite cloud state at step {step + 1}")
-        maybe_record(step + 1)
+    for step in range(1, n_steps + 1):
+        dx, dv = _rk4_increment(accel, x, v, dt)
+        x = x + dx
+        v = v + dv
+        _require_finite("cloud state", step, step * dt, x, v)
+        maybe_record(step)
 
     return MeasureCurve(domain=cloud.domain, times=np.asarray(rec_t),
                         x=np.stack(rec_x), v=np.stack(rec_v))

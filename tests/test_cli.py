@@ -160,6 +160,21 @@ class TestRunScenario:
         assert summary["report"]["max_second_moment_increase"] > 1e-9
         assert summary["ok"]
 
+    def test_default_step_lands_on_the_horizon(self, tmp_path):
+        from flockkit.cli import _build_domain, _build_potential
+        from flockkit.dynamics import default_dt
+        text = MINIMAL.replace("t = 0.5\ndt = 0.01\n", "t = 0.5\n")
+        cfg = parse_config_text(text)
+        assert cfg.get("dynamics", "dt") is None
+        domain = _build_domain(cfg)
+        spec = _build_potential(cfg, domain)
+        rule = default_dt(spec, build_initial_state(cfg, domain, spec))
+        assert 0.5 / rule != round(0.5 / rule)  # the rule's own grid misses t
+        summary = run_scenario(cfg, tmp_path)
+        last = (tmp_path / "metrics.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 0.5
+        assert summary["report"]["dt"] <= rule
+
 
 class TestEmitPlotdata:
     def test_after_flock_run(self, tmp_path):

@@ -133,8 +133,20 @@ class TestIntegrate:
         dom = FreeSpace(2)
         w0 = ParticleEnsemble(dom, np.zeros((2, 2)),
                               np.array([[9e307, 0.0], [-9e307, 0.0]]))
-        with pytest.raises(NumericalError, match="step 1"):
+        with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
             integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.1)
+
+    def test_horizon_off_the_step_grid_rejected(self):
+        # T = 1, dt = 0.3 used to stop at t = 0.9
+        w0 = cluster_state()
+        with pytest.raises(InputError, match=r"T = 1\.0 .* dt = 0\.3"):
+            integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.3)
+
+    def test_horizon_on_the_step_grid_ends_at_t(self):
+        w0 = cluster_state()
+        traj = integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.25)
+        assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert traj.metrics[-1].t == 1.0
 
     def test_invalid_grid(self):
         w0 = cluster_state()

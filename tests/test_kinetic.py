@@ -12,6 +12,7 @@ from flockkit import (
     GaussianPeriodized,
     InputError,
     LogGradBounded,
+    NumericalError,
     PointCloud,
     Plain,
     Regularized,
@@ -195,6 +196,25 @@ class TestFlow:
         with pytest.raises(InputError, match="t_final - t_start"):
             flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=1.0, dt=0.3)
 
+    def test_record_time_outside_the_span_rejected_before_stepping(self, monkeypatch):
+        import flockkit.kinetic as kinetic
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.1)
+        monkeypatch.setattr(kinetic, "_field_rhs", None)  # any step would fail
+        for t_final, record in ((0.5, 0.7), (0.0, 0.7)):
+            with pytest.raises(InputError, match="record time"):
+                flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=t_final,
+                                     dt=0.1, t_start=0.5, record_times=[record])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_raises_numerical_error_naming_step_and_time(self):
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.1)
+        w0 = (np.array([[5.0, 5.0]]), np.array([[9e307, 0.0]]))
+        field = FieldSpec(spec=GAUSS, mode=Regularized(0.1))
+        with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
+            flow_characteristics(w0, curve, field, t_final=1.0, dt=0.1)
+
     def test_curve_from_trajectory_and_lookup(self):
         from flockkit import ParticleEnsemble, integrate
         cloud = torus_cloud(6, seed=13)
@@ -284,6 +304,13 @@ class TestEvolveCloud:
         with pytest.raises(InputError, match="save time"):
             evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=0.5, dt=0.1,
                          save_times=[0.25])
+
+    def test_blowup_raises_numerical_error_naming_step_and_time(self, monkeypatch):
+        import flockkit.kinetic as kinetic
+        monkeypatch.setattr(kinetic, "_field_rhs",
+                            lambda x, v, *args, **kwargs: np.full_like(v, np.inf))
+        with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
+            evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=0.5, dt=0.1)
 
     def test_velocities_stay_in_unit_ball(self):
         cloud = torus_cloud(25, seed=21, sigma=0.45)
