@@ -127,16 +127,6 @@ class _GaussianScratch:
         return w
 
 
-def _pair_values(spec: PotentialSpec, domain: Domain, x_chunk: np.ndarray,
-                 y: np.ndarray, scratch: "_GaussianScratch | None" = None
-                 ) -> np.ndarray:
-    """Kernel matrix for one chunk of target rows."""
-    if isinstance(spec, GaussianPeriodized) and scratch is not None:
-        size = domain.size if isinstance(domain, Torus) else None
-        return scratch.pair_values(spec, size, x_chunk, y)
-    return spec.values(displacement_table(domain, x_chunk, y))
-
-
 def kernel_table(spec: PotentialSpec, domain: Domain, x: np.ndarray,
                  y: np.ndarray | None = None) -> np.ndarray:
     """Dense interaction matrix ``U(x_i - y_j)`` for desk-scale inputs."""
@@ -158,9 +148,13 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
     scratch = None
     if large and isinstance(spec, GaussianPeriodized):
         scratch = _GaussianScratch(min(step, n), m)
+        size = domain.size if isinstance(domain, Torus) else None
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        w = _pair_values(spec, domain, x[lo:hi], y, scratch)
+        if scratch is None:
+            w = spec.values(displacement_table(domain, x[lo:hi], y))
+        else:
+            w = scratch.pair_values(spec, size, x[lo:hi], y)
         den[lo:hi] = w.sum(axis=1)
         if large:
             for b in range(lo, hi, block):
@@ -168,8 +162,9 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
                 s[b:e] = w[b - lo:e - lo] @ u
             s[lo:hi] -= v[lo:hi] * den[lo:hi, None]
         else:
-            diff = u[None, :, :] - v[lo:hi, None, :]
-            s[lo:hi] = np.einsum("ij,ijk->ik", w, diff)
+            # coordinate-major like the displacement table: contiguous planes
+            ut, vt = (np.ascontiguousarray(a.T) for a in (u, v[lo:hi]))
+            s[lo:hi] = np.einsum("ij,cij->ic", w, ut[:, None, :] - vt[:, :, None])
     return den, s
 
 

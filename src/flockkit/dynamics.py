@@ -162,20 +162,24 @@ def _rhs_arrays(q: np.ndarray, p: np.ndarray, domain: Domain, spec: PotentialSpe
 
 
 def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   x: np.ndarray, v: np.ndarray, h: float
+                   x: np.ndarray, v: np.ndarray, h: float, step: int, t: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Classical fourth-order increments ``(dx, dv)`` of ``x' = v``, ``v' = accel(x, v)``.
 
     The single fixed-step stepper of the package (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.1); ``h`` may be negative for backward flow.
+    *Solving ODEs I*, II.1); ``h`` may be negative for backward flow.  A stage's
+    ``NumericalError`` is raised again naming ``step`` and its end time ``t``.
     """
-    k1 = accel(x, v)
-    v2 = v + 0.5 * h * k1
-    k2 = accel(x + 0.5 * h * v, v2)
-    v3 = v + 0.5 * h * k2
-    k3 = accel(x + 0.5 * h * v2, v3)
-    v4 = v + h * k3
-    k4 = accel(x + h * v3, v4)
+    try:
+        k1 = accel(x, v)
+        v2 = v + 0.5 * h * k1
+        k2 = accel(x + 0.5 * h * v, v2)
+        v3 = v + 0.5 * h * k2
+        k3 = accel(x + 0.5 * h * v2, v3)
+        v4 = v + h * k3
+        k4 = accel(x + h * v3, v4)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; in an RK4 stage of step {step} (t = {t:.6g})") from exc
     return ((h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
             (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
@@ -256,11 +260,11 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
         return _rhs_arrays(x, v, domain, spec, eps)
 
     for step in range(1, n_steps + 1):
-        dq, dp = _rk4_increment(accel, q, p, dt)
+        t = float(T) if step == n_steps else step * dt
+        dq, dp = _rk4_increment(accel, q, p, dt, step, t)
         q_raw = q_raw + dq
         q = wrap_positions(domain, q + dq)
         p = p + dp
-        t = float(T) if step == n_steps else step * dt
         _require_finite("state", step, t, p, q)
         speed = float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
         max_speed = max(max_speed, speed)

@@ -113,13 +113,27 @@ def displacement(domain: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def displacement_table(domain: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All pairwise displacements, shape ``(n, m, d)`` for ``(n,d)`` and ``(m,d)`` inputs."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    delta = x[:, None, :] - y[None, :, :]
+    """All pairwise displacements, shape ``(n, m, d)`` for ``(n,d)`` and ``(m,d)`` inputs.
+
+    Stored coordinate-major (a view of a contiguous ``(d, n, m)`` array), so
+    the elementwise loops run over the ``n m`` pairs of each plane, not over ``d``.
+    """
+    xt = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
+    delta = xt[:, :, None] - yt[:, None, :]
     if isinstance(domain, Torus):
         delta -= domain.size * np.rint(delta / domain.size)
-    return delta
+    return delta.transpose(1, 2, 0)
+
+
+def _squared_norm(delta: np.ndarray) -> np.ndarray:
+    """``np.sum(np.square(delta), axis=-1)`` added one coordinate plane at a time, the
+    order numpy takes on a short axis; each plane of a coordinate-major table is contiguous."""
+    delta = np.asarray(delta)
+    out = np.square(delta[..., 0])
+    for c in range(1, delta.shape[-1]):
+        out += np.square(delta[..., c])
+    return out
 
 
 def wrap_positions(domain: Domain, q: np.ndarray) -> np.ndarray:
@@ -203,8 +217,8 @@ class CompactBump:
 
     def values(self, delta: np.ndarray) -> np.ndarray:
         """Evaluate on displacement vectors with shape ``(..., d)``."""
-        r = np.sqrt(np.sum(np.square(delta), axis=-1))
-        return self.normalizer * np.clip(1.0 - r / self.radius, 0.0, None)
+        r = np.sqrt(_squared_norm(delta))
+        return self.normalizer * np.maximum(1.0 - r / self.radius, 0.0)
 
     def grad(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
@@ -315,16 +329,14 @@ class LogGradBounded:
 
     def values(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
-        if self.period is None:
-            r = np.sqrt(np.sum(np.square(delta), axis=-1))
-            return self._profile(r)
+        total = self._profile(np.sqrt(_squared_norm(delta)))
         # accumulate opposite images as pairs so the sum is exactly even in delta
-        total = self._profile(np.sqrt(np.sum(np.square(delta), axis=-1)))
+        # (free space has the zero offset only, which is skipped)
         for off in self._offsets:
             if not _is_canonical_offset(off):
                 continue
-            r_plus = np.sqrt(np.sum(np.square(delta + off), axis=-1))
-            r_minus = np.sqrt(np.sum(np.square(delta - off), axis=-1))
+            r_plus = np.sqrt(_squared_norm(delta + off))
+            r_minus = np.sqrt(_squared_norm(delta - off))
             total += self._profile(r_plus) + self._profile(r_minus)
         return total
 

@@ -32,7 +32,7 @@ from .dynamics import (
     _require_finite,
     _rk4_increment,
 )
-from .errors import ConfigError, DegenerateInputError, InputError
+from .errors import ConfigError, DegenerateInputError, InputError, NumericalError
 from .geometry import (
     CompactBump,
     Domain,
@@ -40,6 +40,7 @@ from .geometry import (
     LogGradBounded,
     PotentialSpec,
     Torus,
+    _squared_norm,
     displacement_table,
     potential_inf_lower,
 )
@@ -183,6 +184,11 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
     n_src = cloud_x.shape[0]
     if isinstance(field.mode, Plain):
         if float(den.min()) <= 0.0:
+            # beyond D / (2 eps) the minimum image can be off by half a cell
+            reach = max(np.abs(x).max(), np.abs(cloud_x).max())
+            if not reach < 0.5 * domain.size / np.finfo(float).eps:
+                raise NumericalError(f"zero interaction mass at positions up to {reach:.3g}, "
+                                     "beyond the minimum image's precision: the state blew up")
             raise ConfigError(
                 "zero interaction mass in plain mode; the field-spec invariant "
                 "(positive infimum on the torus) is violated"
@@ -371,7 +377,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
         def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
             return _field_rhs(xx, vv, cx, cv, field, curve.domain)
 
-        dx, dv = _rk4_increment(accel, x, v, h)
+        dx, dv = _rk4_increment(accel, x, v, h, step, t0 + step * h)
         x = x + dx
         v = v + dv
         t = t0 + step * h
@@ -392,9 +398,12 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
 
 
 def _phase_cost(a: PointCloud, b: PointCloud) -> np.ndarray:
-    dx = displacement_table(a.domain, a.x, b.x)
-    dv = a.v[:, None, :] - b.v[None, :, :]
-    return np.sqrt(np.sum(np.square(dx), axis=-1) + np.sum(np.square(dv), axis=-1))
+    # coordinate-major difference tables, summed as (sum_c dx_c^2) + (sum_c dv_c^2);
+    # the velocity table is built once the position table is freed (memory peak)
+    cost = _squared_norm(displacement_table(a.domain, a.x, b.x))
+    dv = np.ascontiguousarray(a.v.T)[:, :, None] - np.ascontiguousarray(b.v.T)[:, None, :]
+    cost += _squared_norm(dv.transpose(1, 2, 0))
+    return np.sqrt(cost, out=cost)
 
 
 def _subsample(cloud: PointCloud, m: int, rng: np.random.Generator) -> PointCloud:
@@ -476,7 +485,7 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
 
     maybe_record(0)
     for step in range(1, n_steps + 1):
-        dx, dv = _rk4_increment(accel, x, v, dt)
+        dx, dv = _rk4_increment(accel, x, v, dt, step, step * dt)
         x = x + dx
         v = v + dv
         _require_finite("cloud state", step, step * dt, x, v)

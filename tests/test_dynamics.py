@@ -136,6 +136,14 @@ class TestIntegrate:
         with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
             integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.1)
 
+    def test_stage_error_names_step_and_time(self, monkeypatch):
+        import flockkit.dynamics as dynamics
+        w0 = ParticleEnsemble(FreeSpace(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        monkeypatch.setattr(dynamics, "alignment_sums",
+                            lambda *args: (np.zeros(2), np.zeros((2, 2))))
+        with pytest.raises(NumericalError, match=r"underflowed.*RK4 stage of step 1 \(t = 0\.1\)"):
+            integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.1)
+
     def test_horizon_off_the_step_grid_rejected(self):
         # T = 1, dt = 0.3 used to stop at t = 0.9
         w0 = cluster_state()

@@ -15,7 +15,12 @@ from flockkit import (
     potential_eval,
     potential_grad,
 )
-from flockkit.geometry import unit_sphere_area, wrap_positions
+from flockkit.geometry import (
+    _is_canonical_offset,
+    displacement_table,
+    unit_sphere_area,
+    wrap_positions,
+)
 
 
 def all_specs(d=2):
@@ -64,6 +69,70 @@ class TestDisplacement:
         dom = Torus(2, 5.0)
         q = np.array([[6.0, -1.0]])
         np.testing.assert_allclose(wrap_positions(dom, q), [[1.0, 4.0]])
+
+
+def broadcast_table(domain, x, y):
+    """Reference: the plain ``(n, m, d)`` broadcast of every pair's displacement."""
+    delta = x[:, None, :] - y[None, :, :]
+    if isinstance(domain, Torus):
+        delta -= domain.size * np.rint(delta / domain.size)
+    return delta
+
+
+def broadcast_values(spec, delta):
+    """Each family's values with the norm summed by ``np.sum`` over the last axis."""
+    def norm(a):
+        return np.sqrt(np.sum(np.square(a), axis=-1))
+
+    if isinstance(spec, CompactBump):
+        return spec.normalizer * np.clip(1.0 - norm(delta) / spec.radius, 0.0, None)
+    if isinstance(spec, LogGradBounded):
+        total = spec._profile(norm(delta))
+        for off in spec._offsets:
+            if _is_canonical_offset(off):
+                total += spec._profile(norm(delta + off)) + spec._profile(norm(delta - off))
+        return total
+    out = spec._theta(delta[..., 0])
+    for c in range(1, spec.d):
+        out = out * spec._theta(delta[..., c])
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCoordinateMajorTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("domain", ["free", "torus"])
+    def test_displacement_table_matches_broadcast(self, d, domain):
+        dom = Torus(d, 7.0) if domain == "torus" else FreeSpace(d)
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-10.0, 10.0, (9, d))
+        y = rng.uniform(-10.0, 10.0, (5, d))
+        for a, b in ((x, y), (x, x), (x[:1], y)):
+            table = displacement_table(dom, a, b)
+            assert same_bits(table, broadcast_table(dom, a, b))
+            # stored as contiguous (d, n, m) coordinate planes
+            assert np.moveaxis(table, -1, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("spec_idx", range(4))
+    def test_values_match_broadcast(self, d, spec_idx):
+        spec = all_specs(d)[spec_idx]
+        rng = np.random.default_rng(10 + d)
+        points = rng.uniform(0.0, 10.0, (12, d))
+        inputs = [
+            rng.uniform(-6.0, 6.0, d),
+            np.zeros(d),
+            rng.uniform(-6.0, 6.0, (30, d)),
+            rng.uniform(-6.0, 6.0, (6, 7, d)),
+            displacement_table(Torus(d, 10.0), points, points[:8]),
+            displacement_table(FreeSpace(d), points, points),
+        ]
+        for delta in inputs:
+            assert same_bits(spec.values(delta), broadcast_values(spec, delta))
 
 
 class TestCompactBump:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flockkit import CompactBump, FreeSpace, GaussianPeriodized, Torus, _kernels
+from flockkit import CompactBump, FreeSpace, GaussianPeriodized, LogGradBounded, Torus, _kernels
 
 RTOL = 1e-12
 EPS = np.finfo(float).eps
@@ -175,6 +175,46 @@ def test_mode_count_follows_the_tail_rule():
     phase = 2.0 * np.pi * np.outer(s, np.arange(1, 14)) / 10.0
     series = modes[0] + 2.0 * np.cos(phase) @ modes[1:]
     np.testing.assert_allclose(series, spec._theta(s), rtol=1e-13, atol=1e-16)
+
+
+SMALL_FAMILIES = {
+    "bump": lambda d: CompactBump(d=d, radius=3.0),
+    "loggrad": lambda d: LogGradBounded(d=d, decay=1.0),
+    "loggrad_periodic": lambda d: LogGradBounded(d=d, decay=1.0, period=6.0),
+    "gaussian": lambda d: GaussianPeriodized(d=d, width=1.0, period=6.0),
+}
+SMALL_SHAPES = {"square": (40, 40), "rectangular": (45, 20)}
+
+
+def small_case(family, d, domain, shape):
+    """A small-band call on a cell of side 6 (free space or the torus of that side)."""
+    rng = np.random.default_rng(10 * d + (domain == "torus"))
+    n, m = SMALL_SHAPES[shape]
+    x = rng.uniform(0.0, 6.0, (n, d))
+    v = rng.uniform(-0.6, 0.6, (n, d))
+    y, u = (x, v) if shape == "square" else (rng.uniform(0.0, 6.0, (m, d)),
+                                           rng.uniform(-0.6, 0.6, (m, d)))
+    dom = Torus(d, 6.0) if domain == "torus" else FreeSpace(d)
+    return SMALL_FAMILIES[family](d), dom, x, v, y, u
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+@pytest.mark.parametrize("domain", ["free", "torus"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", SMALL_FAMILIES)
+def test_small_band_matches_fsum(family, d, domain, shape):
+    spec, dom, x, v, y, u = small_case(family, d, domain, shape)
+    den, s, ran = sums_with_path(spec, dom, x, v, y, u)
+    assert ran["small"] == 1 and ran["direct"] == 0 and ran["fourier"] == 0
+    assert oracle_error(spec, dom, x, v, y, u, den, s, range(0, x.shape[0], 4)) <= RTOL
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES)
+def test_small_band_rerun_gives_the_same_bits(family):
+    spec, dom, x, v, y, u = small_case(family, 2, "torus", "rectangular")
+    first = _kernels.alignment_sums(spec, dom, x, v, y, u)
+    again = _kernels.alignment_sums(spec, dom, x.copy(), v.copy(), y.copy(), u.copy())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
 def test_small_band_keeps_the_difference_form():

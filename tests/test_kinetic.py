@@ -215,6 +215,24 @@ class TestFlow:
         with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
             flow_characteristics(w0, curve, field, t_final=1.0, dt=0.1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_plain_mode_blowup_raises_numerical_error_naming_step_and_time(self):
+        # the second RK4 stage puts x near 4.5e306, where the minimum image
+        # no longer resolves the cell and every kernel value is 0
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.1)
+        w0 = (np.array([[5.0, 5.0]]), np.array([[9e307, 0.0]]))
+        with pytest.raises(NumericalError, match=r"blew up.*step 1 \(t = 0\.1\)"):
+            flow_characteristics(w0, curve, PLAIN_FIELD, t_final=1.0, dt=0.1)
+
+    def test_zero_mass_at_resolved_positions_stays_a_config_error(self, monkeypatch):
+        import flockkit.kinetic as kinetic
+        cloud = torus_cloud(5, seed=12)
+        monkeypatch.setattr(kinetic, "alignment_sums",
+                            lambda *args: (np.zeros(len(args[2])), np.zeros_like(args[3])))
+        with pytest.raises(ConfigError, match="zero interaction mass"):
+            evolve_cloud(cloud, PLAIN_FIELD, T=0.5, dt=0.1)
+
     def test_curve_from_trajectory_and_lookup(self):
         from flockkit import ParticleEnsemble, integrate
         cloud = torus_cloud(6, seed=13)
@@ -255,6 +273,18 @@ class TestTransportDistance:
                         for perm in permutations(range(n)))
             assert transport_distance(a, b) == pytest.approx(min(brute / n, 1.0),
                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("domain", [TORUS, FreeSpace(2)])
+    def test_phase_cost_matches_the_broadcast_formula(self, domain):
+        rng = np.random.default_rng(16)
+        a = PointCloud(domain, rng.uniform(0, 10, (30, 2)), rng.uniform(-0.6, 0.6, (30, 2)))
+        b = PointCloud(domain, rng.uniform(0, 10, (30, 2)), rng.uniform(-0.6, 0.6, (30, 2)))
+        dx = a.x[:, None, :] - b.x[None, :, :]
+        if domain is TORUS:
+            dx -= TORUS.size * np.rint(dx / TORUS.size)
+        dv = a.v[:, None, :] - b.v[None, :, :]
+        ref = np.sqrt(np.sum(np.square(dx), axis=-1) + np.sum(np.square(dv), axis=-1))
+        assert _phase_cost(a, b).tobytes() == ref.tobytes()
 
     def test_metric_properties(self):
         rng = np.random.default_rng(15)
