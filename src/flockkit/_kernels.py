@@ -10,8 +10,7 @@ one of three paths:
   point in floating point (the invariance tests rely on it);
 * **direct** (large band): matrix-product accumulation ``U u - v den`` over
   row chunks of the kernel matrix, with ``U u`` split into row blocks small
-  enough for one BLAS thread; the factorized wrapped Gaussian is evaluated
-  in preallocated buffers without displacement vectors;
+  enough for one BLAS thread;
 * **Fourier** (large band, periodized Gaussian on a torus of side
   ``period``): by Poisson summation each coordinate factor is the theta
   series ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
@@ -78,55 +77,6 @@ def _row_chunks(n: int, m: int, d: int) -> int:
     return min(n, rows)
 
 
-class _GaussianScratch:
-    """Preallocated buffers for the factorized wrapped-Gaussian kernel.
-
-    The chunk loop is allocation-heavy otherwise; reusing four flat buffers
-    keeps the hot path memory-bound on reads and writes only.
-    """
-
-    def __init__(self, rows: int, cols: int):
-        shape = (rows, cols)
-        self.dc = np.empty(shape)
-        self.tmp = np.empty(shape)
-        self.term = np.empty(shape)
-        self.theta = np.empty(shape)
-        self.w = np.empty(shape)
-
-    def pair_values(self, spec: GaussianPeriodized, size: float | None,
-                    x_chunk: np.ndarray, y: np.ndarray) -> np.ndarray:
-        rows = x_chunk.shape[0]
-        dc = self.dc[:rows]
-        tmp = self.tmp[:rows]
-        term = self.term[:rows]
-        theta = self.theta[:rows]
-        w = self.w[:rows]
-        inv_two_w2 = 1.0 / (2.0 * spec.width**2)
-        for c in range(spec.d):
-            xc = np.ascontiguousarray(x_chunk[:, c])
-            yc = np.ascontiguousarray(y[:, c])
-            np.subtract(xc[:, None], yc[None, :], out=dc)
-            if size is not None:
-                np.multiply(dc, 1.0 / size, out=tmp)
-                np.rint(tmp, out=tmp)
-                tmp *= size
-                dc -= tmp
-            np.abs(dc, out=dc)  # keep the kernel exactly even, as in values()
-            theta.fill(0.0)
-            for shift in spec._shifts:
-                np.add(dc, shift, out=term)
-                np.square(term, out=term)
-                term *= -inv_two_w2
-                np.exp(term, out=term)
-                theta += term
-            theta *= spec._norm1
-            if c == 0:
-                w[...] = theta
-            else:
-                w *= theta
-        return w
-
-
 def kernel_table(spec: PotentialSpec, domain: Domain, x: np.ndarray,
                  y: np.ndarray | None = None) -> np.ndarray:
     """Dense interaction matrix ``U(x_i - y_j)`` for desk-scale inputs."""
@@ -145,16 +95,9 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
     s = np.empty((n, d))
     step = _row_chunks(n, m, d)
     block = max(1, _PRODUCT_MACS // (m * d))
-    scratch = None
-    if large and isinstance(spec, GaussianPeriodized):
-        scratch = _GaussianScratch(min(step, n), m)
-        size = domain.size if isinstance(domain, Torus) else None
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        if scratch is None:
-            w = spec.values(displacement_table(domain, x[lo:hi], y))
-        else:
-            w = scratch.pair_values(spec, size, x[lo:hi], y)
+        w = spec.values(displacement_table(domain, x[lo:hi], y))
         den[lo:hi] = w.sum(axis=1)
         if large:
             for b in range(lo, hi, block):

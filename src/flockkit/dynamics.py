@@ -185,12 +185,14 @@ def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def _grid_steps(span: float, dt: float, name: str) -> int:
-    """Number of ``dt`` steps in ``span``; ``InputError`` unless it is a whole number >= 0."""
+    """Number of ``dt`` steps in ``span``; ``InputError`` unless it is a whole number >= 0,
+    and zero only for a span of exactly 0 (a span far below ``dt`` is off the grid)."""
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
     ratio = span / dt
     steps = int(round(ratio))
-    if steps < 0 or abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio)):
+    if (steps < 0 or (steps == 0 and span != 0.0)
+            or abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio))):
         raise InputError(
             f"{name} = {span!r} is not on the nonnegative step grid of dt = {dt!r} "
             f"({name}/dt = {ratio!r})"

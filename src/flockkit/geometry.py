@@ -418,12 +418,22 @@ class GaussianPeriodized:
         return np.arange(-n, n + 1, dtype=float) * self.period
 
     def _theta(self, s: np.ndarray) -> np.ndarray:
-        """One-dimensional wrapped Gaussian evaluated componentwise."""
+        """One-dimensional wrapped Gaussian evaluated componentwise: the only image sum.
+
+        ``x / (-2 w^2)`` has the bits of ``-x / (2 w^2)``: rounding is symmetric in sign.
+        """
         s = np.abs(np.asarray(s, dtype=float))  # exactly even in s
         acc = np.zeros_like(s)
+        term = np.empty_like(s)
+        minus_two_w2 = -2.0 * self.width**2
         for shift in self._shifts:
-            acc += np.exp(-np.square(s + shift) / (2.0 * self.width**2))
-        return self._norm1 * acc
+            np.add(s, shift, out=term)
+            np.square(term, out=term)
+            term /= minus_two_w2
+            np.exp(term, out=term)
+            acc += term
+        acc *= self._norm1
+        return acc
 
     def _theta_prime(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -464,8 +474,8 @@ class GaussianPeriodized:
         delta = np.asarray(delta, dtype=float)
         out = self._theta(delta[..., 0])
         for c in range(1, self.d):
-            out = out * self._theta(delta[..., c])
-        return out
+            out *= self._theta(delta[..., c])
+        return out[()]  # a scalar for one displacement, like the other families
 
     def grad(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)

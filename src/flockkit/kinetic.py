@@ -332,6 +332,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     _validate_field(field, curve.domain)
     x, v = _as_batch(w0)
     t0 = float(curve.times[0]) if t_start is None else float(t_start)
+    t_final = float(t_final)
     span_lo, span_hi = float(curve.times[0]), float(curve.times[-1])
     if not (span_lo - 1e-9 <= t_final <= span_hi + 1e-9):
         raise InputError(

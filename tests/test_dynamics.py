@@ -156,6 +156,18 @@ class TestIntegrate:
         assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert traj.metrics[-1].t == 1.0
 
+    def test_horizon_far_below_one_step_rejected(self):
+        # T = 1, dt = 1e10 used to return only the t = 0 frame
+        w0 = cluster_state()
+        with pytest.raises(InputError, match=r"T = 1\.0 .* dt = 10000000000\.0"):
+            integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=1e10)
+
+    def test_zero_horizon_keeps_the_initial_frame(self):
+        w0 = cluster_state()
+        traj = integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=0.0, dt=1e10)
+        assert traj.times.tolist() == [0.0]
+        np.testing.assert_array_equal(traj.p[-1], w0.p)
+
     def test_invalid_grid(self):
         w0 = cluster_state()
         with pytest.raises(InputError):

@@ -92,9 +92,13 @@ def broadcast_values(spec, delta):
             if _is_canonical_offset(off):
                 total += spec._profile(norm(delta + off)) + spec._profile(norm(delta - off))
         return total
-    out = spec._theta(delta[..., 0])
-    for c in range(1, spec.d):
-        out = out * spec._theta(delta[..., c])
+    out = 1.0
+    for c in range(spec.d):
+        s = np.abs(delta[..., c])
+        acc = np.zeros_like(s)
+        for shift in spec._shifts:
+            acc += np.exp(-np.square(s + shift) / (2.0 * spec.width**2))
+        out = out * (spec._norm1 * acc)
     return out
 
 
@@ -120,7 +124,18 @@ class TestCoordinateMajorTables:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("spec_idx", range(4))
     def test_values_match_broadcast(self, d, spec_idx):
-        spec = all_specs(d)[spec_idx]
+        self.check_values_match_broadcast(all_specs(d)[spec_idx])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("width", [0.37, 1.3])
+    def test_gaussian_values_match_broadcast(self, d, width):
+        # 2 w^2 is not a power of two, so dividing by it and multiplying by its
+        # reciprocal round differently
+        self.check_values_match_broadcast(GaussianPeriodized(d=d, width=width, period=10.0))
+
+    @staticmethod
+    def check_values_match_broadcast(spec):
+        d = spec.d
         rng = np.random.default_rng(10 + d)
         points = rng.uniform(0.0, 10.0, (12, d))
         inputs = [

@@ -143,6 +143,22 @@ def test_fourier_path_rejected(case):
     assert oracle_error(spec, dom, x, v, x, v, den, s, range(0, 1000, 97)) <= RTOL
 
 
+def test_direct_gaussian_sums_use_the_kernel_table():
+    # one wrapped-Gaussian evaluator: a direct large-band call sums exactly the
+    # entries of kernel_table (2 w^2 = 0.72 is not a power of two, and the
+    # torus side is not the period, so the Fourier path is ruled out)
+    rng = np.random.default_rng(11)
+    spec, dom = GaussianPeriodized(d=2, width=0.6, period=5.0), Torus(2, 10.0)
+    x = rng.uniform(0.0, 10.0, (1100, 2))
+    v = rng.uniform(-0.5, 0.5, (1100, 2))
+    y = rng.uniform(0.0, 10.0, (1000, 2))
+    u = rng.uniform(-0.5, 0.5, (1000, 2))
+    den, _, ran = sums_with_path(spec, dom, x, v, y, u)
+    assert ran["direct"] == 1 and ran["fourier"] == 0
+    table = _kernels.kernel_table(spec, dom, x, y)
+    assert den.tobytes() == table.sum(axis=1).tobytes()
+
+
 def test_direct_path_across_row_chunks():
     # 2000-row chunks of the kernel matrix, each split into 131-row products
     rng = np.random.default_rng(9)

@@ -330,6 +330,11 @@ class TestEvolveCloud:
         with pytest.raises(InputError, match=r"T/dt = 3\.33"):
             evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=1.0, dt=0.3)
 
+    def test_horizon_far_below_one_step_rejected(self):
+        # T = 1, dt = 1e10 used to label the initial cloud t = 1
+        with pytest.raises(InputError, match="T/dt = 1e-10"):
+            evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=1.0, dt=1e10)
+
     def test_save_time_off_the_step_grid_rejected(self):
         with pytest.raises(InputError, match="save time"):
             evolve_cloud(torus_cloud(5, seed=22), PLAIN_FIELD, T=0.5, dt=0.1,
@@ -347,6 +352,84 @@ class TestEvolveCloud:
         curve = evolve_cloud(cloud, PLAIN_FIELD, T=1.0, dt=0.01)
         speeds = np.sqrt(np.sum(curve.v[-1] ** 2, axis=1))
         assert float(speeds.max()) <= 1.0 + 1e-9
+
+
+def grid_sweep_cases(count=60, seed=2024):
+    """``(span, dt)`` pairs over many magnitudes: on the grid, within 1e-15..1e-3
+    relative of it, and spans from far below one step to a few steps."""
+    rng = np.random.default_rng(seed)
+    cases = [(1.0, 1e10), (0.0, 1e10), (0.0, 1e-9), (5e-324, 1.0)]
+    for _ in range(count):
+        dt = 10.0 ** rng.uniform(-9.0, 4.0)
+        kind = rng.integers(3)
+        if kind == 0:
+            ratio = float(rng.integers(0, 5))
+        elif kind == 1:
+            ratio = rng.integers(1, 5) * (1.0 + rng.choice([-1.0, 1.0])
+                                          * 10.0 ** rng.uniform(-15.0, -3.0))
+        else:
+            ratio = 10.0 ** rng.uniform(-18.0, 0.7)
+        cases.append((ratio * dt, dt))
+    return cases
+
+
+class TestStepGridSweep:
+    """Each integrator either lands its last frame exactly on the horizon after
+    a whole number of steps or raises ``InputError``; nothing is dropped."""
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        import flockkit.dynamics as dynamics
+        import flockkit.kinetic as kinetic
+        steps = []
+        increment = dynamics._rk4_increment
+
+        def counting(*args):
+            steps.append(args[3])
+            return increment(*args)
+
+        monkeypatch.setattr(kinetic, "_rk4_increment", counting)
+        monkeypatch.setattr(dynamics, "_rk4_increment", counting)
+        return steps
+
+    @staticmethod
+    def aligned_cloud():
+        # equal velocities stay equal (zero acceleration), so no step size blows up
+        x = np.random.default_rng(3).uniform(0.0, 10.0, (4, 2))
+        return PointCloud(TORUS, x, np.tile([0.3, -0.1], (4, 1)))
+
+    @staticmethod
+    def run(integrator, cloud, span, dt):
+        """Final time label of one integrator run over ``[0, span]``."""
+        from flockkit import ParticleEnsemble, integrate
+        if integrator == "integrate":
+            w0 = ParticleEnsemble(TORUS, cloud.x, cloud.v)
+            return integrate(w0, GAUSS, Plain(), T=span, dt=dt).times[-1]
+        if integrator == "evolve_cloud":
+            return evolve_cloud(cloud, PLAIN_FIELD, T=span, dt=dt).times[-1]
+        times = [0.0, span] if span > 0.0 else [0.0]
+        curve = MeasureCurve(TORUS, times, np.stack([cloud.x] * len(times)),
+                             np.stack([cloud.v] * len(times)))
+        return flow_characteristics((cloud.x, cloud.v), curve, PLAIN_FIELD,
+                                    t_final=span, dt=dt).times[-1]
+
+    @pytest.mark.parametrize("integrator", ["integrate", "evolve_cloud",
+                                            "flow_characteristics"])
+    def test_ends_on_the_horizon_or_raises(self, integrator, monkeypatch):
+        steps = self.counted_steps(monkeypatch)
+        cloud = self.aligned_cloud()
+        for span, dt in grid_sweep_cases():
+            steps.clear()
+            ratio = span / dt
+            on_grid = abs(ratio - round(ratio)) <= 1e-12 * max(1.0, ratio)
+            try:
+                last = self.run(integrator, cloud, span, dt)
+            except InputError:
+                assert not (on_grid and (span == 0.0 or round(ratio) >= 1)), (span, dt)
+                continue
+            assert last == span, (span, dt)
+            assert (len(steps) == 0) == (span == 0.0), (span, dt)
+            assert abs(len(steps) * dt - span) <= 1e-9 * span, (span, dt)
 
 
 class TestConvergence:
