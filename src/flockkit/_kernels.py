@@ -3,17 +3,19 @@
 All alignment right-hand sides reduce to two sums over source points: the
 interaction mass ``den_i = sum_j U(x_i - y_j)`` and the velocity-difference
 sum ``s_i = sum_j U(x_i - y_j) (u_j - v_i)``.  :func:`alignment_sums` takes
-one of three paths:
+one of two paths:
 
-* **small** (``n m < _LARGE_PAIRS``): the difference form
-  ``sum_j U_ij (u_j - v_i)``, which makes the aligned state an exact fixed
-  point in floating point (the invariance tests rely on it);
-* **direct** (large band): matrix-product accumulation ``U u - v den`` over
-  row chunks of the kernel matrix, with ``U u`` split into row blocks small
-  enough for one BLAS thread;
-* **Fourier** (large band, periodized Gaussian on a torus of side
-  ``period``): by Poisson summation each coordinate factor is the theta
-  series ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
+* **direct**: matrix-product accumulation over row chunks of the kernel
+  matrix, centred on the first source velocity ``c = u_0``:
+  ``s_i = sum_j U_ij (u_j - c) - (v_i - c) den_i``, with the product split
+  into row blocks small enough for one BLAS thread.  Centring (the
+  shifted-data device of Chan, Golub & LeVeque for the sample variance)
+  makes every velocity difference exactly zero in an aligned state, so that
+  state is an exact fixed point in floating point at every size (the
+  invariance tests rely on it);
+* **Fourier** (at least ``_LARGE_PAIRS`` pairs, periodized Gaussian on a
+  torus of side ``period``): by Poisson summation each coordinate factor is
+  the theta series ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
   ``c_k = exp(-2 pi^2 k^2 w^2 / D^2) / D``, and ``K`` is the smallest mode
   with ``exp(-2 pi^2 K^2 w^2 / D^2) < 1e-14``, the tail rule of the image
   count.  Splitting ``cos(a - b)`` turns the kernel into a product of
@@ -40,14 +42,15 @@ import math
 
 import numpy as np
 
+from .errors import InputError
 from .geometry import Domain, GaussianPeriodized, PotentialSpec, Torus, displacement_table
 
 # target number of pair-table elements held at once (per chunk)
 _CHUNK_ELEMS = 4_000_000
-# beyond this many pair entries the last-ulp-exact difference form gives way
-# to matrix products
+# the Fourier path is considered from this many pair entries on: its cost
+# model was fitted on calls of at least this size only
 _LARGE_PAIRS = 1_000_000
-# multiply-adds per matrix product on the direct large and Fourier paths;
+# multiply-adds per matrix product on the direct and Fourier paths;
 # products this small stay on one OpenBLAS thread (its threshold is
 # M N K > 4 * 65536), which keeps the sums independent of the BLAS thread
 # count, and on the Fourier path it bounds a feature chunk far below
@@ -69,7 +72,7 @@ _NS_FEATURE = 6.0
 _NS_TRIG = 30.0
 
 # calls per path, plus the rows the Fourier path handed to the direct path
-path_counts = {"small": 0, "direct": 0, "fourier": 0, "fourier_fallback_rows": 0}
+path_counts = {"direct": 0, "fourier": 0, "fourier_fallback_rows": 0}
 
 
 def _row_chunks(n: int, m: int, d: int) -> int:
@@ -86,11 +89,12 @@ def kernel_table(spec: PotentialSpec, domain: Domain, x: np.ndarray,
 
 
 def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarray,
-                 y: np.ndarray, u: np.ndarray, large: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sums from the kernel matrix, in difference form unless ``large``."""
+                 y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums from the kernel matrix, centred on the first source velocity."""
     n, d = x.shape
     m = y.shape[0]
+    c = u[0]
+    uc = u - c
     den = np.empty(n)
     s = np.empty((n, d))
     step = _row_chunks(n, m, d)
@@ -99,15 +103,10 @@ def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarr
         hi = min(n, lo + step)
         w = spec.values(displacement_table(domain, x[lo:hi], y))
         den[lo:hi] = w.sum(axis=1)
-        if large:
-            for b in range(lo, hi, block):
-                e = min(hi, b + block)
-                s[b:e] = w[b - lo:e - lo] @ u
-            s[lo:hi] -= v[lo:hi] * den[lo:hi, None]
-        else:
-            # coordinate-major like the displacement table: contiguous planes
-            ut, vt = (np.ascontiguousarray(a.T) for a in (u, v[lo:hi]))
-            s[lo:hi] = np.einsum("ij,cij->ic", w, ut[:, None, :] - vt[:, :, None])
+        for b in range(lo, hi, block):
+            e = min(hi, b + block)
+            s[b:e] = w[b - lo:e - lo] @ uc
+    s -= (v - c) * den[:, None]
     return den, s
 
 
@@ -181,7 +180,8 @@ def alignment_sums(spec: PotentialSpec, domain: Domain,
     """Raw alignment sums of targets ``(x, v)`` against sources ``(y, u)``.
 
     Returns ``(den, s)`` with ``den_i = sum_j U(x_i - y_j)`` and
-    ``s_i = sum_j U(x_i - y_j) (u_j - v_i)``.
+    ``s_i = sum_j U(x_i - y_j) (u_j - v_i)``.  Raises ``InputError`` when
+    either point set is empty.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -189,17 +189,17 @@ def alignment_sums(spec: PotentialSpec, domain: Domain,
     u = np.asarray(u, dtype=float)
     n = x.shape[0]
     m = y.shape[0]
-    if n * m < _LARGE_PAIRS:
-        path_counts["small"] += 1
-        return _direct_sums(spec, domain, x, v, y, u, large=False)
-    modes = _fourier_modes_for(spec, domain, n, m)
+    if n == 0 or m == 0:
+        raise InputError(f"alignment sums need at least one target and one source point; "
+                         f"got {n} targets and {m} sources")
+    modes = _fourier_modes_for(spec, domain, n, m) if n * m >= _LARGE_PAIRS else None
     if modes is None:
         path_counts["direct"] += 1
-        return _direct_sums(spec, domain, x, v, y, u, large=True)
+        return _direct_sums(spec, domain, x, v, y, u)
     path_counts["fourier"] += 1
     den, s, ok = _fourier_sums(spec, modes, x, v, y, u)
     bad = np.flatnonzero(~ok)
     if bad.size:
         path_counts["fourier_fallback_rows"] += int(bad.size)
-        den[bad], s[bad] = _direct_sums(spec, domain, x[bad], v[bad], y, u, large=True)
+        den[bad], s[bad] = _direct_sums(spec, domain, x[bad], v[bad], y, u)
     return den, s

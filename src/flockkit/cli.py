@@ -360,10 +360,6 @@ def _resolve_dt(cfg: RunConfig, spec, w0: ParticleEnsemble) -> float:
     return dt
 
 
-def _field_for(cfg: RunConfig, domain, spec) -> kinetic.FieldSpec:
-    return kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
-
-
 def _workers(n_jobs: int) -> int:
     env = os.environ.get("FLOCKKIT_THREADS", "")
     try:
@@ -593,10 +589,8 @@ def _converge_job(args: tuple) -> tuple[int, int, np.ndarray, np.ndarray]:
     domain = Torus(d=d, size=size)
     spec = GaussianPeriodized(d=d, width=width, period=size, n_max=n_max)
     field = kinetic.FieldSpec(spec=spec, mode=Plain())
-    sampler = density.torus_gaussian_sampler(domain, sigma, v_cap)
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-    w0, _ = sampler(n, rng)
-    cloud = kinetic.PointCloud(domain, w0[:, :d], w0[:, d:])
+    cloud = _sampled_cloud(domain, sigma, v_cap, n, rng)
     curve = kinetic.evolve_cloud(cloud, field, t_eval, dt)
     return n, seed, curve.x[-1], curve.v[-1]
 
@@ -663,7 +657,7 @@ def _sampled_cloud(domain, sigma: float, v_cap: float, n: int,
 def _run_stability(cfg: RunConfig, out: Path) -> dict:
     domain = _build_domain(cfg)
     spec = _build_potential(cfg, domain)
-    field = _field_for(cfg, domain, spec)
+    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
     n = cfg.get("stability", "n")
     rng = _rng(cfg, SEED_SAMPLE)
     if isinstance(domain, Torus):
@@ -698,7 +692,7 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
 def _run_picard(cfg: RunConfig, out: Path) -> dict:
     domain = _build_domain(cfg)
     spec = _build_potential(cfg, domain)
-    field = _field_for(cfg, domain, spec)
+    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
     rng = _rng(cfg, SEED_SAMPLE)
     cloud0 = _sampled_cloud(domain, cfg.get("picard", "sigma"),
                             cfg.get("picard", "v_cap"), cfg.get("picard", "n"), rng)
@@ -752,7 +746,7 @@ def _entropy_curve(cfg: RunConfig, section: str, domain, field):
 def _run_entropy(cfg: RunConfig, out: Path) -> dict:
     domain = _build_domain(cfg)
     spec = _build_potential(cfg, domain)
-    field = _field_for(cfg, domain, spec)
+    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
     curve = _entropy_curve(cfg, "entropy", domain, field)
     sampler = density.torus_gaussian_sampler(domain, cfg.get("entropy", "sigma"),
                                              cfg.get("entropy", "v_cap"))
@@ -778,7 +772,7 @@ def _run_entropy(cfg: RunConfig, out: Path) -> dict:
 def _run_jacobian(cfg: RunConfig, out: Path) -> dict:
     domain = _build_domain(cfg)
     spec = _build_potential(cfg, domain)
-    field = _field_for(cfg, domain, spec)
+    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
     curve = _entropy_curve(cfg, "jacobian", domain, field)
     sampler = density.torus_gaussian_sampler(domain, cfg.get("jacobian", "sigma"),
                                              cfg.get("jacobian", "v_cap"))

@@ -21,11 +21,10 @@ from scipy.integrate import cumulative_simpson
 from scipy.spatial import cKDTree
 from scipy.special import digamma, gammainc
 
-from ._kernels import alignment_sums
 from .dynamics import Trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .geometry import Torus, unit_ball_volume
-from .kinetic import FieldSpec, MeasureCurve, flow_characteristics
+from .kinetic import FieldSpec, MeasureCurve, _overlap_fraction, flow_characteristics
 
 __all__ = [
     "JacobianReport",
@@ -133,15 +132,6 @@ class EntropyRow:
     mean_overlap: float
 
 
-def _mean_overlap_fraction(x: np.ndarray, curve: MeasureCurve, field: FieldSpec,
-                           t: float) -> float:
-    k = curve.index_at(t)
-    den, _ = alignment_sums(field.spec, curve.domain, x, np.zeros_like(x),
-                            curve.x[k], curve.v[k])
-    mass = den / curve.x[k].shape[0]
-    return float(np.mean(mass / (mass + field.epsilon)))
-
-
 def entropy_decay_check(sampler: Callable, curve: MeasureCurve, field: FieldSpec,
                         t_list, M: int, dt: float, k: int = 4,
                         rng: np.random.Generator | None = None) -> list[EntropyRow]:
@@ -171,7 +161,7 @@ def entropy_decay_check(sampler: Callable, curve: MeasureCurve, field: FieldSpec
 
     rows: list[EntropyRow] = []
     for idx, t in enumerate(path.times):
-        if t not in t_list and not any(abs(t - s) <= 1e-9 for s in t_list):
+        if t not in t_list:
             continue
         mean_int = float(np.mean(path.overlap_integral[idx]))
         h_transport = h0 - d * mean_int
@@ -180,7 +170,8 @@ def entropy_decay_check(sampler: Callable, curve: MeasureCurve, field: FieldSpec
         rows.append(EntropyRow(
             t=float(t), H_transport=h_transport, H_knn=h_knn,
             gap=h_knn - h_transport,
-            mean_overlap=_mean_overlap_fraction(path.x[idx], curve, field, float(t)),
+            mean_overlap=float(np.mean(_overlap_fraction(path.x[idx], curve, field,
+                                                         float(t)))),
         ))
     return rows
 

@@ -13,7 +13,7 @@ stability properties of trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -45,6 +45,8 @@ _GRID_RTOL = 1e-9
 @dataclass(frozen=True)
 class Plain:
     """Unmodified alignment weights (row-stochastic)."""
+
+    epsilon: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -137,16 +139,12 @@ class Trajectory:
         return ParticleEnsemble(self.domain, self.q[k].copy(), self.p[k].copy())
 
 
-def _mode_epsilon(mode: DynamicsMode) -> float:
-    return mode.epsilon if isinstance(mode, Regularized) else 0.0
-
-
 def rhs(state: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode = Plain()
         ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative ``(dq, dp)`` of the particle system."""
     if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise InputError("non-finite state passed to rhs")
-    dp = _rhs_arrays(state.q, state.p, state.domain, spec, _mode_epsilon(mode))
+    dp = _rhs_arrays(state.q, state.p, state.domain, spec, mode.epsilon)
     return state.p.copy(), dp
 
 
@@ -246,7 +244,7 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
     if save_every < 1:
         raise InputError("save_every must be >= 1")
     domain = w0.domain
-    eps = _mode_epsilon(mode)
+    eps = mode.epsilon
     q = wrap_positions(domain, w0.q.copy())
     q_raw = w0.q.copy()
     p = w0.p.copy()

@@ -24,7 +24,6 @@ from ._kernels import alignment_sums
 from .dynamics import (
     DynamicsMode,
     Plain,
-    Regularized,
     Trajectory,
     _GRID_RTOL,
     _grid_indices,
@@ -86,8 +85,10 @@ class PointCloud:
                 f"cloud arrays must share shape (n, {self.domain.d}); "
                 f"got {self.x.shape} and {self.v.shape}"
             )
+        if self.x.shape[0] < 1:
+            raise InputError("a cloud needs at least one point")
         speeds = np.sqrt(np.sum(np.square(self.v), axis=1))
-        if speeds.size and float(speeds.max()) > 1.0 + _SPEED_TOL:
+        if float(speeds.max()) > 1.0 + _SPEED_TOL:
             raise InputError(
                 f"cloud velocities must lie in the unit ball; max speed {speeds.max():.6g}"
             )
@@ -144,10 +145,6 @@ class FieldSpec:
     mode: DynamicsMode = Plain()
     zero_overlap_zero: bool = False
 
-    @property
-    def epsilon(self) -> float:
-        return self.mode.epsilon if isinstance(self.mode, Regularized) else 0.0
-
 
 def _validate_field(field: FieldSpec, domain: Domain) -> None:
     if field.spec.d != domain.d:
@@ -194,7 +191,7 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
                 "(positive infimum on the torus) is violated"
             )
         return s / den[:, None]
-    eps_total = field.epsilon * n_src
+    eps_total = field.mode.epsilon * n_src
     if literal:
         out = (s - eps_total * v) / (den + eps_total)[:, None]
         if field.zero_overlap_zero:
@@ -298,6 +295,16 @@ class FlowPath:
         return self.x[-1], self.v[-1]
 
 
+def _overlap_fraction(x: np.ndarray, curve: MeasureCurve, field: FieldSpec,
+                      t: float) -> np.ndarray:
+    """Regularized overlap fraction ``mass / (mass + epsilon)`` at positions ``x``."""
+    k = curve.index_at(t)
+    den, _ = alignment_sums(field.spec, curve.domain, x, np.zeros_like(x),
+                            curve.x[k], curve.v[k])
+    mass = den / curve.x[k].shape[0]
+    return mass / (mass + field.mode.epsilon)
+
+
 def _as_batch(w0) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(w0, tuple):
         x, v = w0
@@ -349,16 +356,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     rec_x: list[np.ndarray] = []
     rec_v: list[np.ndarray] = []
     rec_overlap: list[np.ndarray] = []
-    eps = field.epsilon
-
     overlap = np.zeros(x.shape[0])
-
-    def overlap_fraction(xx: np.ndarray, t: float) -> np.ndarray:
-        k = curve.index_at(t)
-        den, _ = alignment_sums(field.spec, curve.domain, xx,
-                                np.zeros_like(xx), curve.x[k], curve.v[k])
-        mass = den / curve.x[k].shape[0]
-        return mass / (mass + eps)
 
     def maybe_record(step: int) -> None:
         while record_steps and record_steps[0] == step:
@@ -370,7 +368,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
 
     t = t0
     maybe_record(0)
-    h_prev = overlap_fraction(x, t) if want_overlap else None
+    h_prev = _overlap_fraction(x, curve, field, t) if want_overlap else None
     for step in range(1, n_steps + 1):
         k = curve.index_at(t if not backward else t + h)
         cx, cv = curve.x[k], curve.v[k]
@@ -384,7 +382,7 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
         t = t0 + step * h
         _require_finite("characteristics", step, t, x, v)
         if want_overlap:
-            h_now = overlap_fraction(x, t)
+            h_now = _overlap_fraction(x, curve, field, t)
             overlap += 0.5 * abs(h) * (h_prev + h_now)
             h_prev = h_now
         maybe_record(step)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from ._kernels import kernel_table
-from .dynamics import DynamicsMode, ParticleEnsemble, Plain, Regularized
+from .dynamics import DynamicsMode, ParticleEnsemble, Plain
 from .errors import InputError, NumericalError, PreconditionError
 from .geometry import FreeSpace, PotentialSpec, displacement_table
 from .graph import CommGraph, is_connected
@@ -72,7 +72,7 @@ def interaction_matrix(state: ParticleEnsemble, spec: PotentialSpec,
     """Build the weight matrix ``a_ij = U(q_i - q_j) / (row mass + epsilon)``."""
     u = kernel_table(spec, state.domain, state.q)
     den = u.sum(axis=1)
-    eps = mode.epsilon if isinstance(mode, Regularized) else 0.0
+    eps = mode.epsilon
     if eps == 0.0 and float(den.min()) <= 0.0:
         raise NumericalError("zero interaction row mass in plain mode")
     weights = den + eps

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flockkit import CompactBump, FreeSpace, GaussianPeriodized, LogGradBounded, Torus, _kernels
+from flockkit import (CompactBump, FreeSpace, GaussianPeriodized, InputError, LogGradBounded,
+                      Torus, _kernels)
 
 RTOL = 1e-12
 EPS = np.finfo(float).eps
@@ -79,7 +80,7 @@ def test_large_band_matches_fsum(d, ratio, shape):
     spec, dom, x, v, y, u = uniform_case(d, ratio, n, m, seed=17 * d + int(100 * ratio))
     den, s, ran = sums_with_path(spec, dom, x, v, y, u)
     path = EXPECTED_PATH[(d, ratio)]
-    assert ran[path] == 1 and ran["small"] == 0
+    assert ran[path] == 1
     assert ran["direct" if path == "fourier" else "fourier"] == 0
     rows = np.random.default_rng(1).choice(n, size=24, replace=False)
     assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
@@ -221,7 +222,7 @@ def small_case(family, d, domain, shape):
 def test_small_band_matches_fsum(family, d, domain, shape):
     spec, dom, x, v, y, u = small_case(family, d, domain, shape)
     den, s, ran = sums_with_path(spec, dom, x, v, y, u)
-    assert ran["small"] == 1 and ran["direct"] == 0 and ran["fourier"] == 0
+    assert ran["direct"] == 1 and ran["fourier"] == 0
     assert oracle_error(spec, dom, x, v, y, u, den, s, range(0, x.shape[0], 4)) <= RTOL
 
 
@@ -233,20 +234,35 @@ def test_small_band_rerun_gives_the_same_bits(family):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
-def test_small_band_keeps_the_difference_form():
-    # an aligned state stays an exact fixed point below the large band
-    spec = GaussianPeriodized(d=2, width=1.0, period=10.0)
-    dom = Torus(2, 10.0)
-    x = np.random.default_rng(4).uniform(0.0, 10.0, (900, 2))
-    v = np.tile([0.3, -0.1], (900, 1))
+@pytest.mark.parametrize("case", ["gaussian_small", "bump_large", "gaussian_large"])
+def test_aligned_state_is_an_exact_fixed_point(case):
+    # the direct path is centred on a source velocity, so an aligned state
+    # gives s == 0 exactly below and above 1e6 pairs
+    n, spec, dom = {
+        "gaussian_small": (900, GaussianPeriodized(d=2, width=1.0, period=10.0), Torus(2, 10.0)),
+        "bump_large": (1100, CompactBump(d=2, radius=3.0), FreeSpace(2)),
+        "gaussian_large": (1100, GaussianPeriodized(d=2, width=0.6, period=5.0), Torus(2, 10.0)),
+    }[case]
+    x = np.random.default_rng(4).uniform(0.0, 10.0, (n, 2))
+    v = np.tile([0.3, -0.1], (n, 1))
     den, s, ran = sums_with_path(spec, dom, x, v, x, v)
-    assert ran["small"] == 1 and ran["fourier"] == 0 and ran["direct"] == 0
+    assert ran["direct"] == 1 and ran["fourier"] == 0
     assert np.all(s == 0.0)
 
 
+@pytest.mark.parametrize("n,m", [(0, 5), (5, 0)])
+def test_empty_point_sets_rejected(n, m):
+    rng = np.random.default_rng(12)
+    x, v = rng.uniform(0.0, 6.0, (n, 2)), rng.uniform(-0.5, 0.5, (n, 2))
+    y, u = rng.uniform(0.0, 6.0, (m, 2)), rng.uniform(-0.5, 0.5, (m, 2))
+    with pytest.raises(InputError, match="at least one target and one source"):
+        _kernels.alignment_sums(CompactBump(d=2, radius=3.0), FreeSpace(2), x, v, y, u)
+
+
 def test_blas_thread_count_does_not_change_bits():
-    # one call per large-band product: the direct path (compact bump), the
-    # Fourier path, and the Fourier path with rows sent back to the direct one
+    # one call per product: the direct path (compact bump, below and above
+    # 1e6 pairs), the Fourier path, and the Fourier path with rows sent back
+    # to the direct one
     script = """
 import hashlib, numpy as np
 from flockkit import CompactBump, FreeSpace, GaussianPeriodized, Torus, _kernels
@@ -255,15 +271,16 @@ x = rng.uniform(0, 10, (1500, 2)); v = rng.uniform(-.5, .5, (1500, 2))
 y = rng.uniform(0, 10, (900, 2)); u = rng.uniform(-.5, .5, (900, 2))
 gauss, torus = GaussianPeriodized(d=2, width=1.0, period=10.0), Torus(2, 10.0)
 clustered = np.mod(5.0 + 0.4 * rng.standard_normal((800, 2)), 10.0)
-calls = [(CompactBump(d=2, radius=3.0), FreeSpace(2), x, v, y, u),
+calls = [(CompactBump(d=2, radius=3.0), FreeSpace(2), x[:300], v[:300], y, u),
+         (CompactBump(d=2, radius=3.0), FreeSpace(2), x, v, y, u),
          (gauss, torus, x, v, y, u),
          (gauss, torus, x, v, clustered, u[:800])]
-for call, path in zip(calls, ("direct", "fourier", "fourier_fallback_rows")):
+for call, path in zip(calls, ("direct", "direct", "fourier", "fourier_fallback_rows")):
     before = _kernels.path_counts[path]
     den, s = _kernels.alignment_sums(*call)
     assert _kernels.path_counts[path] > before, path
     print(hashlib.sha256(den.tobytes() + s.tobytes()).hexdigest())
-assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] == 1
+assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] == 2
 """
     src = str(Path(_kernels.__file__).resolve().parents[1])
     digests = []
@@ -273,5 +290,5 @@ assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] =
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         digests.append(out.stdout.split())
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 4
     assert digests[0] == digests[1]

@@ -56,6 +56,12 @@ class TestFieldSpec:
             mean_field_M(np.zeros(2), np.zeros(2), cloud, field)
 
 
+    def test_empty_cloud_rejected(self):
+        # an empty cloud used to reach mean_field_M / evolve_cloud and divide by zero
+        with pytest.raises(InputError, match="at least one point"):
+            PointCloud(TORUS, np.zeros((0, 2)), np.zeros((0, 2)))
+
+
 class TestMeanField:
     def test_single_atom_plain(self):
         atom = PointCloud(TORUS, np.array([[5.0, 5.0]]), np.array([[0.3, -0.2]]))
@@ -188,6 +194,13 @@ class TestFlow:
         with pytest.raises(Exception):
             flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=0.2, dt=0.01,
                                  record_times=[0.0333])
+
+    def test_empty_batch_rejected(self):
+        # an empty batch used to fail with "range() arg 3 must not be zero"
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=0.2, dt=0.01)
+        with pytest.raises(InputError, match="at least one target"):
+            flow_characteristics(np.zeros((0, 4)), curve, PLAIN_FIELD, t_final=0.2, dt=0.01)
 
     def test_final_time_off_the_step_grid_rejected(self):
         # 1.0 / 0.3 steps used to return the t = 0.9 state labelled t = 1.0
