@@ -10,12 +10,16 @@ Identical config plus seed yields byte-identical artifacts.
 
 Subcommands: ``simulate``, ``spectrum``, ``flock-detect``, ``converge``,
 ``stability``, ``picard``, ``entropy``, ``jacobian``, ``emit-plotdata``.
-The environment variable ``FLOCKKIT_THREADS`` caps fan-out workers.
+Runners build their inputs from the config and call the library; the
+``converge`` runner maps :func:`flockkit.kinetic.mean_field_convergence`
+over its seeds, one process job per seed.  The environment variable
+``FLOCKKIT_THREADS`` (an integer >= 1) caps those workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,7 +62,6 @@ class _Key:
     choices: tuple = ()
     positive: bool = False
     nonneg: bool = False
-    optional: bool = False  # may stay None (auto)
 
 
 SCHEMA: dict[str, dict[str, _Key]] = {
@@ -86,7 +89,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "epsilon": _Key("float", 0.1, positive=True),
         "n": _Key("int", 50, positive=True),
         "t": _Key("float", 10.0, nonneg=True),
-        "dt": _Key("float", None, optional=True),
+        "dt": _Key("float", None, positive=True),
         "speed": _Key("float", 1.0, positive=True),
     },
     "init": {
@@ -100,7 +103,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "flock": {
         "radius": _Key("float", 0.01, positive=True),
-        "window": _Key("float", None, optional=True),
+        "window": _Key("float", None, positive=True),
     },
     "spectrum": {
         "configs": _Key("int", 100, positive=True),
@@ -226,10 +229,6 @@ def parse_config_text(text: str) -> RunConfig:
         for key, spec in keys.items():
             if section in raw and key in raw[section]:
                 value = _convert(section, key, raw[section][key], spec)
-                if spec.optional and isinstance(value, float) and not value > 0:
-                    raise ConfigError(f"{section}.{key} must be positive")
-            elif spec.optional:
-                value = None
             else:
                 value = spec.default
             sections[section][key] = value
@@ -365,7 +364,9 @@ def _workers(n_jobs: int) -> int:
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
     except ValueError:
-        cap = 1
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"FLOCKKIT_THREADS must be an integer >= 1, got {env!r}")
     return max(1, min(n_jobs, cap))
 
 
@@ -387,80 +388,35 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
+def _numpy_json(obj):
+    """``json.dumps`` hook for numpy arrays and scalars; anything else is an error."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_numpy_json)
+                    + "\n")
 
 
 def _write_trajectory_jsonl(path: Path, traj: dynamics.Trajectory) -> None:
     with path.open("w") as fh:
         for k, rec in enumerate(traj.metrics):
-            record = {
-                "t": float(traj.times[k]),
-                "q": traj.q[k].tolist(),
-                "p": traj.p[k].tolist(),
-                "metrics": {
-                    "dist_to_manifold": rec.dist_to_manifold,
-                    "mean_velocity": rec.mean_velocity.tolist(),
-                    "second_moment": rec.second_moment,
-                    "max_speed": rec.max_speed,
-                    "connected": rec.connected,
-                    "spectral_gap": rec.spectral_gap,
-                    "flock": rec.flock,
-                },
-            }
-            fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+            record = {"t": float(traj.times[k]), "q": traj.q[k].tolist(),
+                      "p": traj.p[k].tolist(),
+                      "metrics": {n: v for n, v in vars(rec).items() if n != "t"}}
+            fh.write(json.dumps(record, sort_keys=True, default=_numpy_json) + "\n")
 
 
-def _metrics_rows(traj: dynamics.Trajectory) -> tuple[list[str], list[list]]:
-    header = ["t", "dist_to_manifold", "second_moment", "max_speed",
-              "connected", "spectral_gap"]
-    header += [f"mean_v_{c}" for c in range(traj.domain.d)]
-    rows = []
-    for k, rec in enumerate(traj.metrics):
-        row = [traj.times[k], rec.dist_to_manifold, rec.second_moment, rec.max_speed,
-               "" if rec.connected is None else rec.connected,
-               "" if rec.spectral_gap is None else rec.spectral_gap]
-        row += list(rec.mean_velocity)
-        rows.append(row)
-    return header, rows
+def _particle_run(cfg: RunConfig, out: Path):
+    """Build and integrate the configured particle system, attach the graph and
+    spectral diagnostics at their frame strides, and write ``metrics.csv``.
 
-
-def _attach_diagnostics(cfg: RunConfig, traj: dynamics.Trajectory, spec) -> None:
-    graph_every = cfg.get("run", "graph_every")
-    spectral_every = cfg.get("run", "spectral_every")
-    threshold = cfg.get("graph", "threshold")
-    mode = _build_mode(cfg)
-    for k in range(traj.n_frames):
-        state = traj.state_at(k)
-        if graph_every and k % graph_every == 0:
-            g = graph.build_graph(state, spec, threshold)
-            traj.metrics[k].connected = graph.is_connected(g)
-        if spectral_every and k % spectral_every == 0:
-            report = spectral.spectrum(spectral.interaction_matrix(state, spec, mode))
-            traj.metrics[k].spectral_gap = report.gap
-
-
-# ---------------------------------------------------------------------------
-# Scenario runners (each returns a summary dict with an "ok" flag)
-
-
-def _run_simulate(cfg: RunConfig, out: Path) -> dict:
+    Returns the initial state, the interaction, the step and the trajectory.
+    """
     domain = _build_domain(cfg)
     spec = _build_potential(cfg, domain)
     mode = _build_mode(cfg)
@@ -468,8 +424,33 @@ def _run_simulate(cfg: RunConfig, out: Path) -> dict:
     dt = _resolve_dt(cfg, spec, w0)
     traj = integrate(w0, spec, mode, T=cfg.get("dynamics", "t"), dt=dt,
                      save_every=cfg.get("run", "save_every"))
-    _attach_diagnostics(cfg, traj, spec)
+    graph_every = cfg.get("run", "graph_every")
+    spectral_every = cfg.get("run", "spectral_every")
+    for k, rec in enumerate(traj.metrics):
+        state = traj.state_at(k)
+        if graph_every and k % graph_every == 0:
+            g = graph.build_graph(state, spec, cfg.get("graph", "threshold"))
+            rec.connected = graph.is_connected(g)
+        if spectral_every and k % spectral_every == 0:
+            rec.spectral_gap = spectral.spectrum(
+                spectral.interaction_matrix(state, spec, mode)).gap
 
+    header = ["t", "dist_to_manifold", "second_moment", "max_speed",
+              "connected", "spectral_gap"] + [f"mean_v_{c}" for c in range(domain.d)]
+    rows = [[traj.times[k], rec.dist_to_manifold, rec.second_moment, rec.max_speed,
+             "" if rec.connected is None else rec.connected,
+             "" if rec.spectral_gap is None else rec.spectral_gap, *rec.mean_velocity]
+            for k, rec in enumerate(traj.metrics)]
+    write_csv(out / "metrics.csv", header, rows)
+    return w0, spec, dt, traj
+
+
+# ---------------------------------------------------------------------------
+# Scenario runners (each returns a summary dict with an "ok" flag)
+
+
+def _run_simulate(cfg: RunConfig, out: Path) -> dict:
+    w0, _, dt, traj = _particle_run(cfg, out)
     r0 = w0.max_speed()
     ball = dynamics.check_velocity_ball(traj, r0)
     checks = {"velocity_ball": ball.ok}
@@ -491,32 +472,19 @@ def _run_simulate(cfg: RunConfig, out: Path) -> dict:
         checks["manifold_invariance"] = max_dist <= 1e-12
         report["max_dist_to_manifold"] = max_dist
 
-    header, rows = _metrics_rows(traj)
-    write_csv(out / "metrics.csv", header, rows)
     _write_trajectory_jsonl(out / "trajectory.jsonl", traj)
     return {"scenario": "simulate", "checks": checks, "flags": flags,
             "report": report, "ok": all(checks.values())}
 
 
 def _run_flock_detect(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    mode = _build_mode(cfg)
-    w0 = build_initial_state(cfg, domain, spec)
-    dt = _resolve_dt(cfg, spec, w0)
-    traj = integrate(w0, spec, mode, T=cfg.get("dynamics", "t"), dt=dt,
-                     save_every=cfg.get("run", "save_every"))
-    _attach_diagnostics(cfg, traj, spec)
-
+    _, spec, _, traj = _particle_run(cfg, out)
     window = cfg.get("flock", "window")
     if window is None:
         window = 0.2 * float(traj.times[-1] - traj.times[0])
     report = graph.detect_flocking(traj, spec, radius=cfg.get("flock", "radius"),
                                    window=window,
                                    threshold=cfg.get("graph", "threshold"))
-
-    header, rows = _metrics_rows(traj)
-    write_csv(out / "metrics.csv", header, rows)
     decay_rows = [[traj.times[k], rec.dist_to_manifold,
                    math.log(max(rec.dist_to_manifold, 1e-300))]
                   for k, rec in enumerate(traj.metrics)]
@@ -584,58 +552,35 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
             "ok": all(checks.values())}
 
 
-def _converge_job(args: tuple) -> tuple[int, int, np.ndarray, np.ndarray]:
-    (size, d, width, n_max, n, seed, t_eval, dt, sigma, v_cap) = args
-    domain = Torus(d=d, size=size)
-    spec = GaussianPeriodized(d=d, width=width, period=size, n_max=n_max)
-    field = kinetic.FieldSpec(spec=spec, mode=Plain())
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-    cloud = _sampled_cloud(domain, sigma, v_cap, n, rng)
-    curve = kinetic.evolve_cloud(cloud, field, t_eval, dt)
-    return n, seed, curve.x[-1], curve.v[-1]
-
-
 def _run_converge(cfg: RunConfig, out: Path) -> dict:
     domain = _build_domain(cfg)
     if not isinstance(domain, Torus) or cfg.get("potential", "kind") != "gaussian":
         raise ConfigError("converge scenario requires a torus domain with the "
                           "gaussian potential family")
-    spec = _build_potential(cfg, domain)
+    field = kinetic.FieldSpec(spec=_build_potential(cfg, domain), mode=Plain())
     n_list = list(cfg.get("converge", "n_list"))
-    n_ref = cfg.get("converge", "n_ref")
-    t_eval = cfg.get("converge", "t_eval")
-    dt = cfg.get("converge", "dt")
-    sigma = cfg.get("converge", "sigma")
-    v_cap = cfg.get("converge", "v_cap")
     seeds = [cfg.get("run", "seed") + k for k in range(cfg.get("converge", "seeds"))]
-
-    jobs = [(domain.size, domain.d, spec.width, spec.n_max, n, seed, t_eval, dt,
-             sigma, v_cap)
-            for seed in seeds for n in n_list + [n_ref]]
+    # top-level callables bound by partial, so one seed's experiment pickles
+    # into a worker process
+    sampler = functools.partial(_sampled_cloud, domain, cfg.get("converge", "sigma"),
+                                cfg.get("converge", "v_cap"))
+    experiment = functools.partial(
+        kinetic.mean_field_convergence, sampler, n_list, cfg.get("converge", "n_ref"),
+        cfg.get("converge", "t_eval"), field, dt=cfg.get("converge", "dt"))
+    jobs = [[seed] for seed in seeds]
     workers = _workers(len(jobs))
-    results = {}
+    per_seed = None
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for n, seed, x, v in pool.map(_converge_job, jobs):
-                    results[(n, seed)] = (x, v)
+                per_seed = list(pool.map(experiment, jobs))
         except OSError as exc:
             warnings.warn(f"converge: the process pool of {workers} workers failed "
                           f"({exc!r}); running the jobs serially", RuntimeWarning,
                           stacklevel=2)
-            results = {}
-    if not results:
-        for job in jobs:
-            n, seed, x, v = _converge_job(job)
-            results[(n, seed)] = (x, v)
-
-    rows = []
-    for seed in seeds:
-        ref = kinetic.PointCloud(domain, *results[(n_ref, seed)])
-        for n in n_list:
-            cloud = kinetic.PointCloud(domain, *results[(n, seed)])
-            w = kinetic.transport_distance(cloud, ref, seed=seed)
-            rows.append([n, seed, t_eval, w])
+    if per_seed is None:
+        per_seed = [experiment(job) for job in jobs]
+    rows = [[r["N"], r["seed"], r["t"], r["W_hat"]] for part in per_seed for r in part]
     write_csv(out / "convergence.csv", ["N", "seed", "t", "W_hat"], rows)
 
     medians = {n: float(np.median([r[3] for r in rows if r[0] == n])) for n in n_list}
@@ -705,11 +650,7 @@ def _run_picard(cfg: RunConfig, out: Path) -> dict:
 
     direct = kinetic.evolve_cloud(cloud0, field, T, dt=T / grid_k,
                                   save_times=list(result.curves[-1].times))
-    final = result.curves[-1]
-    gaps = [kinetic.transport_distance(
-        kinetic.PointCloud(domain, final.x[k], final.v[k]),
-        kinetic.PointCloud(domain, direct.x[k], direct.v[k]))
-        for k in range(len(final.times))]
+    max_gap = kinetic.curve_distance(result.curves[-1], direct)
 
     payload = {
         "alpha": result.alpha,
@@ -720,12 +661,12 @@ def _run_picard(cfg: RunConfig, out: Path) -> dict:
             for i, d in enumerate(result.distances)
         ],
         "converged": result.converged,
-        "max_gap_to_direct": max(gaps),
+        "max_gap_to_direct": max_gap,
     }
     write_json(out / "picard.json", payload)
     ratio_ok = (not result.ratios) or result.ratios[-1] <= result.bound + 0.05
     checks = {"converged": result.converged, "ratio_bound": bool(ratio_ok),
-              "fixed_point_matches_direct": max(gaps) <= 1e-3}
+              "fixed_point_matches_direct": max_gap <= 1e-3}
     return {"scenario": "picard", "checks": checks, "report": payload,
             "ok": all(checks.values())}
 
@@ -820,56 +761,43 @@ def run_scenario(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
 # Plot-data collation
 
 
+def _read_columns(path: Path, *names: str) -> list[list[float]]:
+    """The named columns of a CSV artifact, row by row, as floats."""
+    lines = path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    idx = [header.index(name) for name in names]
+    rows = (line.split(",") for line in lines[1:])
+    return [[float(parts[i]) for i in idx] for parts in rows]
+
+
 def emit_plotdata(artifact_dir: str | Path) -> list[Path]:
     """Collate plot-ready CSVs from prior run artifacts into ``plot/``."""
     base = Path(artifact_dir)
-    plot = base / "plot"
-    produced: list[Path] = []
-
-    metrics = base / "metrics.csv"
-    if metrics.exists():
-        lines = metrics.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        t_i, d_i = header.index("t"), header.index("dist_to_manifold")
-        rows = []
-        for line in lines[1:]:
-            parts = line.split(",")
-            dist = float(parts[d_i])
-            rows.append([float(parts[t_i]), math.log(max(dist, 1e-300))])
-        plot.mkdir(parents=True, exist_ok=True)
-        write_csv(plot / "decay.csv", ["t", "log_dist"], rows)
-        produced.append(plot / "decay.csv")
-
-    convergence = base / "convergence.csv"
-    if convergence.exists():
-        lines = convergence.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        n_i, w_i = header.index("N"), header.index("W_hat")
+    tables: dict[str, tuple[list[str], list[list]]] = {}
+    if (base / "metrics.csv").exists():
+        rows = _read_columns(base / "metrics.csv", "t", "dist_to_manifold")
+        tables["decay.csv"] = (["t", "log_dist"],
+                               [[t, math.log(max(dist, 1e-300))] for t, dist in rows])
+    if (base / "convergence.csv").exists():
         per_n: dict[int, list[float]] = {}
-        for line in lines[1:]:
-            parts = line.split(",")
-            per_n.setdefault(int(parts[n_i]), []).append(float(parts[w_i]))
-        rows = [[n, float(np.median(vals))] for n, vals in sorted(per_n.items())]
-        plot.mkdir(parents=True, exist_ok=True)
-        write_csv(plot / "convergence.csv", ["N", "median_W_hat"], rows)
-        produced.append(plot / "convergence.csv")
-
-    entropy_csv = base / "entropy.csv"
-    if entropy_csv.exists():
-        lines = entropy_csv.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        idx = [header.index(c) for c in ("t", "H_transport", "H_knn")]
-        rows = [[float(line.split(",")[i]) for i in idx] for line in lines[1:]]
-        plot.mkdir(parents=True, exist_ok=True)
-        write_csv(plot / "entropy.csv", ["t", "H_transport", "H_knn"], rows)
-        produced.append(plot / "entropy.csv")
-
-    if not produced:
+        for n, w in _read_columns(base / "convergence.csv", "N", "W_hat"):
+            per_n.setdefault(int(n), []).append(w)
+        tables["convergence.csv"] = (["N", "median_W_hat"],
+                                     [[n, float(np.median(ws))]
+                                      for n, ws in sorted(per_n.items())])
+    if (base / "entropy.csv").exists():
+        header = ["t", "H_transport", "H_knn"]
+        tables["entropy.csv"] = (header, _read_columns(base / "entropy.csv", *header))
+    if not tables:
         raise ConfigError(
             f"no plottable artifacts in {base}; expected one of metrics.csv, "
             "convergence.csv, entropy.csv"
         )
-    return produced
+    plot = base / "plot"
+    plot.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(plot / name, header, rows)
+    return [plot / name for name in tables]
 
 
 # ---------------------------------------------------------------------------

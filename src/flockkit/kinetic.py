@@ -297,7 +297,12 @@ class FlowPath:
 
 def _overlap_fraction(x: np.ndarray, curve: MeasureCurve, field: FieldSpec,
                       t: float) -> np.ndarray:
-    """Regularized overlap fraction ``mass / (mass + epsilon)`` at positions ``x``."""
+    """Regularized overlap fraction ``mass / (mass + epsilon)`` at positions ``x``.
+
+    In plain mode ``epsilon`` is 0 and the mass positive, so it is exactly one.
+    """
+    if isinstance(field.mode, Plain):
+        return np.ones(x.shape[0])
     k = curve.index_at(t)
     den, _ = alignment_sums(field.spec, curve.domain, x, np.zeros_like(x),
                             curve.x[k], curve.v[k])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ class TestConfigParsing:
         bad = MINIMAL.replace("dt = 0.01", "dt = -0.1")
         with pytest.raises(ConfigError, match="dt must be positive"):
             parse_config_text(bad)
+
+    def test_zero_flock_window_rejected(self):
+        with pytest.raises(ConfigError, match=r"^flock\.window must be positive$"):
+            parse_config_text(MINIMAL + "\n[flock]\nwindow = 0\n")
+        assert parse_config_text(MINIMAL).get("flock", "window") is None  # auto
 
     def test_unknown_key_rejected_by_name(self):
         bad = MINIMAL.replace("dt = 0.01", "dtt = 0.01")
@@ -251,6 +257,19 @@ class TestDiagnosticToggles:
         assert _workers(2) == 2
         monkeypatch.delenv("FLOCKKIT_THREADS")
         assert _workers(1) == 1
+        for bad in ("abc", "0", "-3", "1.5"):
+            monkeypatch.setenv("FLOCKKIT_THREADS", bad)
+            with pytest.raises(ConfigError, match=f"FLOCKKIT_THREADS.*{bad!r}"):
+                _workers(8)
+
+    def test_json_hook_takes_numpy_values_only(self, tmp_path):
+        from flockkit.cli import write_json
+        write_json(tmp_path / "a.json", {"x": np.float32(0.5), "n": np.int64(3),
+                                         "b": np.bool_(True), "v": np.arange(2)})
+        assert json.loads((tmp_path / "a.json").read_text()) == \
+            {"x": 0.5, "n": 3, "b": True, "v": [0, 1]}
+        with pytest.raises(TypeError, match="set"):
+            write_json(tmp_path / "b.json", {"x": {1, 2}})
 
 
 SMALL_KINETIC = """
@@ -328,6 +347,27 @@ class TestConvergenceCollation:
         assert lines[1].startswith("100,") and "0.6" in lines[1]
         assert lines[2].startswith("400,") and "0.25" in lines[2]
 
+    def test_emit_plotdata_entropy_table_and_all_three(self, tmp_path):
+        from flockkit.cli import write_csv
+        write_csv(tmp_path / "entropy.csv",
+                  ["t", "H_transport", "H_knn", "gap", "mean_overlap"],
+                  [[0.25, 1.5, 1.4, 0.1, 1.0], [0.5, 1.25, 1.2, 0.05, 1.0]])
+        assert emit_plotdata(tmp_path) == [tmp_path / "plot" / "entropy.csv"]
+        assert (tmp_path / "plot" / "entropy.csv").read_text() == \
+            "t,H_transport,H_knn\n0.25,1.5,1.4\n0.5,1.25,1.2\n"
+
+        write_csv(tmp_path / "metrics.csv", ["t", "dist_to_manifold", "max_speed"],
+                  [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        write_csv(tmp_path / "convergence.csv", ["N", "seed", "t", "W_hat"],
+                  [[100, 1, 1.0, 0.5], [100, 2, 1.0, 0.7], [400, 1, 1.0, 0.25]])
+        produced = emit_plotdata(tmp_path)
+        assert [p.name for p in produced] == ["decay.csv", "convergence.csv",
+                                              "entropy.csv"]
+        assert (tmp_path / "plot" / "decay.csv").read_text() == \
+            f"t,log_dist\n0.0,0.0\n1.0,{math.log(1e-300)!r}\n"
+        assert (tmp_path / "plot" / "convergence.csv").read_text() == \
+            "N,median_W_hat\n100,0.6\n400,0.25\n"
+
 
 SMALL_CONVERGE = """
 [run]
@@ -353,6 +393,29 @@ dt = 0.1
 
 
 class TestConvergeRunner:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_csv_is_the_library_experiment(self, tmp_path, monkeypatch, threads):
+        from flockkit import FieldSpec, GaussianPeriodized, PointCloud, Plain, Torus
+        from flockkit.density import torus_gaussian_sampler
+        from flockkit.kinetic import mean_field_convergence
+        domain = Torus(2, 10.0)
+        draw = torus_gaussian_sampler(domain, 0.3, 0.95)
+
+        def sampler(n, rng):
+            w0, _ = draw(n, rng)
+            return PointCloud(domain, w0[:, :2], w0[:, 2:])
+
+        field = FieldSpec(spec=GaussianPeriodized(d=2, width=1.0, period=10.0),
+                          mode=Plain())
+        rows = mean_field_convergence(sampler, [20, 40], 80, 0.2, field, [4, 5],
+                                      dt=0.1)
+        expected = "N,seed,t,W_hat\n" + "".join(
+            f"{r['N']},{r['seed']},{r['t']!r},{r['W_hat']!r}\n" for r in rows)
+
+        monkeypatch.setenv("FLOCKKIT_THREADS", threads)
+        run_scenario(parse_config_text(SMALL_CONVERGE), tmp_path)
+        assert (tmp_path / "convergence.csv").read_text() == expected
+
     def test_pool_failure_warns_and_serial_run_matches(self, tmp_path, monkeypatch):
         import flockkit.cli as cli_mod
         monkeypatch.setenv("FLOCKKIT_THREADS", "2")

@@ -188,6 +188,32 @@ class TestFlow:
                   float(np.max(np.abs(vf - curve.v[-1]))))
         assert err < 1e-4
 
+    def test_plain_overlap_is_exactly_one_without_kernel_calls(self, monkeypatch):
+        # plain mode has epsilon = 0, so mass / (mass + epsilon) is exactly 1:
+        # only the 4 RK4 stages per step evaluate the kernel
+        import flockkit.kinetic as kinetic
+        from flockkit._kernels import alignment_sums
+        curve = evolve_cloud(torus_cloud(8, seed=5), PLAIN_FIELD, T=0.5, dt=0.05)
+        w0 = torus_cloud(6, seed=6)
+        bare = flow_characteristics(w0, curve, PLAIN_FIELD, t_final=0.5, dt=0.05)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return alignment_sums(*args, **kwargs)
+
+        monkeypatch.setattr(kinetic, "alignment_sums", counting)
+        path = flow_characteristics(w0, curve, PLAIN_FIELD, t_final=0.5, dt=0.05,
+                                    want_overlap=True)
+        assert len(calls) == 4 * 10
+        elapsed = 0.0
+        for _ in range(10):  # the trapezoid rule's own accumulation of h = 1
+            elapsed += 0.5 * 0.05 * (1.0 + 1.0)
+        np.testing.assert_array_equal(path.overlap_integral[0], np.zeros(6))
+        np.testing.assert_array_equal(path.overlap_integral[-1], np.full(6, elapsed))
+        np.testing.assert_array_equal(path.x, bare.x)
+        np.testing.assert_array_equal(path.v, bare.v)
+
     def test_misaligned_record_times_rejected(self):
         cloud = torus_cloud(5, seed=12)
         curve = evolve_cloud(cloud, PLAIN_FIELD, T=0.2, dt=0.01)
