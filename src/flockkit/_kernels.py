@@ -13,27 +13,37 @@ one of two paths:
   makes every velocity difference exactly zero in an aligned state, so that
   state is an exact fixed point in floating point at every size (the
   invariance tests rely on it);
-* **Fourier** (at least ``_LARGE_PAIRS`` pairs, periodized Gaussian on a
-  torus of side ``period``): by Poisson summation each coordinate factor is
-  the theta series ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
+* **Fourier** (periodized Gaussian on a torus of side ``period``): by
+  Poisson summation each coordinate factor is the theta series
+  ``c_0 + sum_{k=1..K} 2 c_k cos(2 pi k s / D)`` with
   ``c_k = exp(-2 pi^2 k^2 w^2 / D^2) / D``, and ``K`` is the smallest mode
   with ``exp(-2 pi^2 K^2 w^2 / D^2) < 1e-14``, the tail rule of the image
-  count.  Splitting ``cos(a - b)`` turns the kernel into a product of
-  ``2K + 1``-term feature maps, so all sums come from one source reduction
-  ``Phi_y^T [1, u, |u|]`` and one target product, at cost
-  ``O((n + m)(2K + 1)^d)`` instead of ``O(n m)``.
+  count.  Splitting ``cos(a - b)`` turns the kernel into a product over
+  coordinates of ``F = 2K + 1``-term factors ``[1, cos(w k x), sin(w k x)]``,
+  computed once per point as one ``(d, rows, F)`` array.  The sources are
+  reduced into ``R`` of shape ``(F, F^(d-1) C)`` for the ``C = 1 + 2d``
+  columns ``[1, u - c, |u - c|]`` (coefficients folded in, centred on
+  ``c = u_0`` as on the direct path, so an aligned state gives ``s == 0``
+  exactly here too); each target block is contracted as ``fx_1 @ R`` and
+  then one row-wise (batched) product per remaining coordinate.  The cost is
+  ``O((n + m) F^d C)`` instead of ``O(n m)``, and the ``F^d``-term tensor
+  product is never formed.  Its products are split into row blocks small
+  enough for one BLAS thread.
 
-The Fourier path is taken only where the spec's image truncation equals the
-lattice sum to that tail and the cost model (:func:`_fourier_modes_for`, in
-``n``, ``m``, ``d``, ``K`` and the image count) puts it below the direct
-path; a narrow kernel in three dimensions stays direct.  Its rounding error
-is absolute, about ``eps u0 sum_j |col_j|`` for a column ``col`` of
-``[1, u, |u|]``, while the direct sum of positive terms is relatively exact.
-A row is kept only if its weighted sums of ``1`` and of each ``|u_c|`` reach
-``_FLOOR u0 sum_j |col_j|``, which bounds its relative error (den, and s
-against ``sum_j U_ij (|u_j| + |v_i|)``) by 1e-12; the other rows are
-recomputed on the direct path.  ``path_counts`` counts the calls per path
-and the rows sent back.  Every path is chunked over rows to bound memory.
+The Fourier path is taken at any size where the spec's image truncation
+equals the lattice sum to that tail and the cost model
+(:func:`_fourier_modes_for`, in ``n``, ``m``, ``d``, ``K`` and the image
+count, with a fixed cost per Fourier call) puts it below the direct path:
+small clouds (N <= 150 at w = 1, D = 10 in two dimensions) and narrow
+kernels in three dimensions stay direct.  Its rounding error is absolute,
+about ``eps u0 sum_j |col_j|`` for a column ``col`` of
+``[1, u - c, |u - c|]``, while the direct sum of positive terms is
+relatively exact.  A row is kept only if its weighted sums of ``1`` and of
+each ``|u_c - c_c|`` reach ``_FLOOR u0 sum_j |col_j|``, which bounds its
+relative error (den, and s against ``sum_j U_ij (|u_j - c| + |v_i - c|)``)
+by 1e-12; the other rows are recomputed on the direct path.
+``path_counts`` counts the calls per path and the rows sent back.  Every
+path is chunked over rows to bound memory.
 """
 
 from __future__ import annotations
@@ -47,29 +57,28 @@ from .geometry import Domain, GaussianPeriodized, PotentialSpec, Torus, displace
 
 # target number of pair-table elements held at once (per chunk)
 _CHUNK_ELEMS = 4_000_000
-# the Fourier path is considered from this many pair entries on: its cost
-# model was fitted on calls of at least this size only
-_LARGE_PAIRS = 1_000_000
 # multiply-adds per matrix product on the direct and Fourier paths;
 # products this small stay on one OpenBLAS thread (its threshold is
 # M N K > 4 * 65536), which keeps the sums independent of the BLAS thread
-# count, and on the Fourier path it bounds a feature chunk far below
-# _CHUNK_ELEMS (no new memory peak)
+# count
 _PRODUCT_MACS = 262_144
 # bound on |error| / (eps u0 sum_j |col_j|) of a Fourier-weighted column sum
 # (checked by the kernel tests), and the relative accuracy rows must keep
 _FOURIER_ERR = 64.0
 _TARGET_RTOL = 1e-12
 _FLOOR = _FOURIER_ERR * np.finfo(float).eps / _TARGET_RTOL
-# cost model, in nanoseconds on one x86-64 core: per pair, coordinate and
-# lattice image one term of the direct sum (shift, square, scale, exp,
-# accumulate), plus per pair and coordinate the minimum image and product;
-# per point one tensor-product feature with its share of the two matrix
-# products, plus per point, coordinate and mode one cos/sin pair
-_NS_IMAGE = 7.0
-_NS_COORD = 4.0
-_NS_FEATURE = 6.0
-_NS_TRIG = 30.0
+# cost model, in nanoseconds on one x86-64 core, fitted on calls from 20 to
+# 4000 points per side in d = 1..3: per pair, coordinate and lattice image
+# one term of the direct sum (shift, square, scale, exp, accumulate), plus
+# per pair and coordinate the minimum image and product; on the Fourier path
+# a fixed cost per call over the direct path's, per point and coordinate
+# mode one cos/sin pair, and per point one multiply-add for each of the
+# (2K + 1)^d products of the factors with each of the 1 + 2d columns
+_NS_IMAGE = 5.0
+_NS_COORD = 8.0
+_NS_CALL = 250_000.0
+_NS_TRIG = 50.0
+_NS_MAC = 0.4
 
 # calls per path, plus the rows the Fourier path handed to the direct path
 path_counts = {"direct": 0, "fourier": 0, "fourier_fallback_rows": 0}
@@ -119,6 +128,9 @@ def _fourier_modes_for(spec: PotentialSpec, domain: Domain, n: int, m: int
     below the direct path.  It is ruled out when even a uniform cloud's
     rows, whose weighted mass sits at ``m / D^d``, fail to clear twice the
     precision floor: most rows would then be recomputed directly on top.
+    It is also ruled out when one target row's product with ``R``, ``F^d C``
+    multiply-adds, exceeds ``_PRODUCT_MACS`` (d >= 4 with K >= 7): that
+    product could not stay on one BLAS thread.
     """
     if not (isinstance(spec, GaussianPeriodized) and isinstance(domain, Torus)
             and domain.size == spec.period):
@@ -128,22 +140,24 @@ def _fourier_modes_for(spec: PotentialSpec, domain: Domain, n: int, m: int
     if modes is None or 1.0 / (spec.period**d * spec.u0) < 2.0 * _FLOOR:
         return None
     k_max = len(modes) - 1
+    macs = (2 * k_max + 1) ** d * (1 + 2 * d)
+    if macs > _PRODUCT_MACS:
+        return None
     direct = n * m * d * ((2 * spec._n_images + 1) * _NS_IMAGE + _NS_COORD)
-    fourier = (n + m) * ((2 * k_max + 1) ** d * _NS_FEATURE + d * k_max * _NS_TRIG)
+    fourier = _NS_CALL + (n + m) * (macs * _NS_MAC + d * k_max * _NS_TRIG)
     return modes if fourier < direct else None
 
 
-def _features(x: np.ndarray, period: float, k_max: int) -> np.ndarray:
-    """Row-wise tensor product over coordinates of ``[1, cos(w k x), sin(w k x)]``."""
+def _factors(x: np.ndarray, period: float, k_max: int) -> np.ndarray:
+    """Per-coordinate ``[1, cos(w k x), sin(w k x)]``, shape ``(d, rows, 2K + 1)``."""
     omega = 2.0 * math.pi / period * np.arange(1, k_max + 1)
-    rows = x.shape[0]
-    phi = None
-    for c in range(x.shape[1]):
-        xc = x[:, c] - period * np.rint(x[:, c] / period)  # smallest phase
-        arg = xc[:, None] * omega[None, :]
-        f = np.hstack([np.ones((rows, 1)), np.cos(arg), np.sin(arg)])
-        phi = f if phi is None else (phi[:, :, None] * f[:, None, :]).reshape(rows, -1)
-    return phi
+    xt = x.T - period * np.rint(x.T / period)  # smallest phase
+    arg = xt[:, :, None] * omega
+    f = np.empty((*xt.shape, 2 * k_max + 1))
+    f[:, :, 0] = 1.0
+    np.cos(arg, out=f[:, :, 1:k_max + 1])
+    np.sin(arg, out=f[:, :, k_max + 1:])
+    return f
 
 
 def _fourier_sums(spec: GaussianPeriodized, modes: np.ndarray, x: np.ndarray,
@@ -153,24 +167,39 @@ def _fourier_sums(spec: GaussianPeriodized, modes: np.ndarray, x: np.ndarray,
     n, d = x.shape
     m = y.shape[0]
     k_max = len(modes) - 1
+    f = 2 * k_max + 1
     coef = np.concatenate([modes[:1], 2.0 * modes[1:], 2.0 * modes[1:]])
-    weights = np.ones(1)
-    for _ in range(d):
-        weights = np.outer(weights, coef).ravel()
-    cols = np.hstack([np.ones((m, 1)), u, np.abs(u)])
-    step = max(1, _PRODUCT_MACS // (weights.size * cols.shape[1]))
-    reduced = np.zeros((weights.size, cols.shape[1]))
+    c = u[0]
+    uc = u - c
+    cols = np.hstack([np.ones((m, 1)), uc, np.abs(uc)])
+    width = f ** (d - 1) * cols.shape[1]
+    block = max(1, _PRODUCT_MACS // (f * width))
+    step = block * max(1, _CHUNK_ELEMS // (block * d * f))
+
+    # R[f_1, (f_2, ..., f_d, col)] = sum_j prod_c coef_{f_c} phi_{f_c}(y_jc) col_j
+    reduced = np.zeros((f, width))
     for lo in range(0, m, step):
-        reduced += _features(y[lo:lo + step], spec.period, k_max).T @ cols[lo:lo + step]
-    reduced *= weights[:, None]
+        fy = _factors(y[lo:lo + step], spec.period, k_max)
+        fy *= coef
+        for b in range(0, fy.shape[1], block):
+            g = cols[lo + b:lo + b + block]
+            for k in range(d - 1, 0, -1):
+                g = (fy[k, b:b + block, :, None] * g[:, None, :]).reshape(g.shape[0], -1)
+            reduced += fy[0, b:b + block].T @ g
+
     out = np.empty((n, cols.shape[1]))
     for lo in range(0, n, step):
-        out[lo:lo + step] = _features(x[lo:lo + step], spec.period, k_max) @ reduced
+        fx = _factors(x[lo:lo + step], spec.period, k_max)
+        for b in range(0, fx.shape[1], block):
+            t = fx[0, b:b + block] @ reduced
+            for k in range(1, d):
+                t = (fx[k, b:b + block, None, :] @ t.reshape(t.shape[0], f, -1))[:, 0]
+            out[lo + b:lo + b + t.shape[0]] = t
 
     den = out[:, 0].copy()
-    s = out[:, 1:1 + d] - v * den[:, None]
+    s = out[:, 1:1 + d] - (v - c) * den[:, None]
     positive = np.concatenate([out[:, :1], out[:, 1 + d:]], axis=1)
-    floor = _FLOOR * spec.u0 * np.concatenate([[float(m)], np.abs(u).sum(axis=0)])
+    floor = _FLOOR * spec.u0 * np.concatenate([[float(m)], np.abs(uc).sum(axis=0)])
     return den, s, np.all(positive >= floor, axis=1)
 
 
@@ -192,7 +221,7 @@ def alignment_sums(spec: PotentialSpec, domain: Domain,
     if n == 0 or m == 0:
         raise InputError(f"alignment sums need at least one target and one source point; "
                          f"got {n} targets and {m} sources")
-    modes = _fourier_modes_for(spec, domain, n, m) if n * m >= _LARGE_PAIRS else None
+    modes = _fourier_modes_for(spec, domain, n, m)
     if modes is None:
         path_counts["direct"] += 1
         return _direct_sums(spec, domain, x, v, y, u)

@@ -443,7 +443,7 @@ class GaussianPeriodized:
             acc += -t / self.width**2 * np.exp(-np.square(t) / (2.0 * self.width**2))
         return self._norm1 * acc
 
-    @property
+    @cached_property
     def u0(self) -> float:
         return float(self._theta(np.zeros(1))[0]) ** self.d
 

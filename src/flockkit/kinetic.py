@@ -345,14 +345,16 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     x, v = _as_batch(w0)
     t0 = float(curve.times[0]) if t_start is None else float(t_start)
     t_final = float(t_final)
-    span_lo, span_hi = float(curve.times[0]), float(curve.times[-1])
-    if not (span_lo - 1e-9 <= t_final <= span_hi + 1e-9):
-        raise InputError(
-            f"t_final {t_final} outside curve span [{span_lo}, {span_hi}]"
-        )
     backward = t_final < t0
     h = -dt if backward else dt
     n_steps = _grid_steps(abs(t_final - t0), dt, "|t_final - t_start|")
+    # the step-grid rule in time: a billionth of a step or of the span
+    tol = _GRID_RTOL * max(dt, abs(t_final - t0))
+    span_lo, span_hi = float(curve.times[0]), float(curve.times[-1])
+    if not (span_lo - tol <= t_final <= span_hi + tol):
+        raise InputError(
+            f"t_final {t_final} outside curve span [{span_lo}, {span_hi}]"
+        )
 
     extra = [] if record_times is None else [float(s) for s in record_times]
     record = sorted(set([t0, t_final] + extra), reverse=backward)

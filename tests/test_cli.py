@@ -334,6 +334,20 @@ class TestKineticRunners:
         # with a single probe time the slope check degrades to a report
         assert "knn_slope" in summary["report"]
 
+    @pytest.mark.parametrize("t_list", ["0.1", "0.1, 0.2"])
+    def test_entropy_exit_code_gated_by_the_slope_only_with_two_times(self, tmp_path, t_list):
+        cfg_path = tmp_path / "entropy.cfg"
+        cfg_path.write_text(SMALL_KINETIC.replace("scenario = stability", "scenario = entropy")
+                            .replace("t_list = 0.1", f"t_list = {t_list}"))
+        code = main(["entropy", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        if t_list == "0.1":  # no slope to fit: reported, not checked
+            assert code == 0 and summary["checks"] == {} and summary["ok"]
+            assert math.isnan(summary["report"]["knn_slope"])
+        else:  # two times give a slope, and the check gates the exit code
+            assert "knn_slope_matches_transport_rate" in summary["checks"]
+            assert code == (0 if summary["ok"] else 1)
+
 
 class TestConvergenceCollation:
     def test_emit_plotdata_median_table(self, tmp_path):

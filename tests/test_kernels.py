@@ -86,18 +86,54 @@ def test_large_band_matches_fsum(d, ratio, shape):
     assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
 
 
+# Fourier calls at the sizes the kernels run at, (d, w/D, n, m), all but the
+# last below 1e6 pairs: "c10" is the w = 2, D = 5 Picard cloud of C10 and
+# "entropy" the characteristics of 4000 samples against a 256-point curve
+SMALL_FOURIER = {
+    "d1_256": (1, 0.1, 256, 256), "d2_256": (2, 0.1, 256, 256), "d3_256": (3, 0.3, 256, 256),
+    "c10": (2, 0.4, 200, 200), "entropy": (2, 0.1, 4000, 256),
+}
+
+
+@pytest.mark.parametrize("case", SMALL_FOURIER)
+def test_fourier_at_every_size_matches_fsum(case):
+    d, ratio, n, m = SMALL_FOURIER[case]
+    spec, dom, x, v, y, u = uniform_case(d, ratio, n, m, seed=31 + d)
+    den, s, ran = sums_with_path(spec, dom, x, v, y, u)
+    assert ran["fourier"] == 1 and ran["direct"] == 0 and ran["fourier_fallback_rows"] == 0
+    rows = np.random.default_rng(3).choice(n, size=24, replace=False)
+    assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
+
+
+@pytest.mark.parametrize("d,ratio", [(2, 0.1), (3, 0.3)])
+def test_fourier_row_chunks_match_one_chunk(d, ratio, monkeypatch):
+    # with 8000 chunk elements the row chunks are 142 rows (two blocks of 71)
+    # at d = 2, K = 13 and 224 rows (eight blocks of 28) at d = 3, K = 5, so
+    # 400 targets and 300 sources take several chunks and end in a partial block
+    spec, dom, x, v, y, u = uniform_case(d, ratio, 400, 300, seed=41 + d)
+    whole = sums_with_path(spec, dom, x, v, y, u)
+    monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", 8000)
+    den, s, ran = sums_with_path(spec, dom, x, v, y, u)
+    assert ran["fourier"] == 1 and ran["direct"] == 0 and ran["fourier_fallback_rows"] == 0
+    assert den.tobytes() == whole[0].tobytes() and s.tobytes() == whole[1].tobytes()
+    rows = np.concatenate([np.arange(0, 400, 23), [141, 142, 399]])
+    assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
+
+
 @pytest.mark.parametrize("d,ratio", [k for k, p in EXPECTED_PATH.items() if p == "fourier"])
 def test_fourier_error_constant(d, ratio):
     # the precision floor assumes |error| <= _FOURIER_ERR * eps * u0 * sum_j |col_j|
-    # for den (col = 1) and for s (col = u_c, with the v_c den term)
+    # for den (col = 1) and for s (col = u_c - c_c, with the (v_c - c_c) den
+    # term), the columns centred on the first source velocity c
     spec, dom, x, v, y, u = uniform_case(d, ratio, 1200, 900, seed=5 + d)
     den, s, _ = _kernels._fourier_sums(spec, spec._fourier_modes, x, v, y, u)
     m = y.shape[0]
+    c = u[0]
     worst = 0.0
     for i in np.random.default_rng(2).choice(x.shape[0], size=40, replace=False):
         den_ref, s_ref, _ = fsum_row(spec, dom.size, x[i], v[i], y, u)
         worst = max(worst, abs(den[i] - den_ref) / (EPS * spec.u0 * m))
-        bound = EPS * spec.u0 * (np.abs(u).sum(axis=0) + np.abs(v[i]) * m)
+        bound = EPS * spec.u0 * (np.abs(u - c).sum(axis=0) + np.abs(v[i] - c) * m)
         worst = max(worst, float(np.max(np.abs(s[i] - s_ref) / bound)))
     assert worst <= _kernels._FOURIER_ERR
 
@@ -142,6 +178,16 @@ def test_fourier_path_rejected(case):
     den, s, ran = sums_with_path(spec, dom, x, v, x, v)
     assert ran["direct"] == 1 and ran["fourier"] == 0
     assert oracle_error(spec, dom, x, v, x, v, den, s, range(0, 1000, 97)) <= RTOL
+
+
+@pytest.mark.parametrize("ratio,k_max", [(0.22, 6), (0.19, 7)])
+def test_fourier_products_fit_one_blas_thread(ratio, k_max):
+    # at d = 4 one target row's product with R takes 13^4 * 9 multiply-adds
+    # for K = 6, within _PRODUCT_MACS, and 15^4 * 9 for K = 7, beyond it
+    spec, dom = GaussianPeriodized(d=4, width=10.0 * ratio, period=10.0), Torus(4, 10.0)
+    assert len(spec._fourier_modes) - 1 == k_max
+    modes = _kernels._fourier_modes_for(spec, dom, 4000, 4000)
+    assert (modes is not None) == ((2 * k_max + 1) ** 4 * 9 <= _kernels._PRODUCT_MACS)
 
 
 def test_direct_gaussian_sums_use_the_kernel_table():
@@ -234,19 +280,32 @@ def test_small_band_rerun_gives_the_same_bits(family):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
-@pytest.mark.parametrize("case", ["gaussian_small", "bump_large", "gaussian_large"])
+GAUSS_W1, TORUS_10 = GaussianPeriodized(d=2, width=1.0, period=10.0), Torus(2, 10.0)
+# case -> (n, spec, domain, the path the call takes); the Fourier path's fixed
+# cost per call keeps N <= 150 at w = 1, D = 10 direct (the particle runs'
+# N = 50 Gaussian calls), and every N = 20 bump call is direct
+ALIGNED_CASES = {
+    "gaussian_n50": (50, GAUSS_W1, TORUS_10, "direct"),
+    "gaussian_n150": (150, GAUSS_W1, TORUS_10, "direct"),
+    "bump_n20": (20, CompactBump(d=2, radius=1.0), FreeSpace(2), "direct"),
+    "gaussian_n200": (200, GAUSS_W1, TORUS_10, "fourier"),
+    "gaussian_small": (900, GAUSS_W1, TORUS_10, "fourier"),
+    "gaussian_fourier_large": (1100, GAUSS_W1, TORUS_10, "fourier"),
+    "bump_large": (1100, CompactBump(d=2, radius=3.0), FreeSpace(2), "direct"),
+    "gaussian_large": (1100, GaussianPeriodized(d=2, width=0.6, period=5.0), TORUS_10,
+                       "direct"),
+}
+
+
+@pytest.mark.parametrize("case", ALIGNED_CASES)
 def test_aligned_state_is_an_exact_fixed_point(case):
-    # the direct path is centred on a source velocity, so an aligned state
-    # gives s == 0 exactly below and above 1e6 pairs
-    n, spec, dom = {
-        "gaussian_small": (900, GaussianPeriodized(d=2, width=1.0, period=10.0), Torus(2, 10.0)),
-        "bump_large": (1100, CompactBump(d=2, radius=3.0), FreeSpace(2)),
-        "gaussian_large": (1100, GaussianPeriodized(d=2, width=0.6, period=5.0), Torus(2, 10.0)),
-    }[case]
+    # both paths are centred on a source velocity, so an aligned state gives
+    # s == 0 exactly on either path, below and above 1e6 pairs
+    n, spec, dom, path = ALIGNED_CASES[case]
     x = np.random.default_rng(4).uniform(0.0, 10.0, (n, 2))
     v = np.tile([0.3, -0.1], (n, 1))
     den, s, ran = sums_with_path(spec, dom, x, v, x, v)
-    assert ran["direct"] == 1 and ran["fourier"] == 0
+    assert ran[path] == 1 and ran["direct" if path == "fourier" else "fourier"] == 0
     assert np.all(s == 0.0)
 
 
@@ -261,8 +320,8 @@ def test_empty_point_sets_rejected(n, m):
 
 def test_blas_thread_count_does_not_change_bits():
     # one call per product: the direct path (compact bump, below and above
-    # 1e6 pairs), the Fourier path, and the Fourier path with rows sent back
-    # to the direct one
+    # 1e6 pairs), the Fourier path (above and below 1e6 pairs), and the
+    # Fourier path with rows sent back to the direct one
     script = """
 import hashlib, numpy as np
 from flockkit import CompactBump, FreeSpace, GaussianPeriodized, Torus, _kernels
@@ -274,13 +333,15 @@ clustered = np.mod(5.0 + 0.4 * rng.standard_normal((800, 2)), 10.0)
 calls = [(CompactBump(d=2, radius=3.0), FreeSpace(2), x[:300], v[:300], y, u),
          (CompactBump(d=2, radius=3.0), FreeSpace(2), x, v, y, u),
          (gauss, torus, x, v, y, u),
+         (gauss, torus, x[:256], v[:256], y[:256], u[:256]),
          (gauss, torus, x, v, clustered, u[:800])]
-for call, path in zip(calls, ("direct", "direct", "fourier", "fourier_fallback_rows")):
+paths = ("direct", "direct", "fourier", "fourier", "fourier_fallback_rows")
+for call, path in zip(calls, paths):
     before = _kernels.path_counts[path]
     den, s = _kernels.alignment_sums(*call)
     assert _kernels.path_counts[path] > before, path
     print(hashlib.sha256(den.tobytes() + s.tobytes()).hexdigest())
-assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] == 2
+assert _kernels.path_counts["fourier"] == 3 and _kernels.path_counts["direct"] == 2
 """
     src = str(Path(_kernels.__file__).resolve().parents[1])
     digests = []
@@ -290,5 +351,5 @@ assert _kernels.path_counts["fourier"] == 2 and _kernels.path_counts["direct"] =
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         digests.append(out.stdout.split())
-    assert len(digests[0]) == 4
+    assert len(digests[0]) == 5
     assert digests[0] == digests[1]

@@ -235,6 +235,19 @@ class TestFlow:
         with pytest.raises(InputError, match="t_final - t_start"):
             flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=1.0, dt=0.3)
 
+    def test_final_time_past_a_short_curve_rejected(self):
+        # an absolute 1e-9 slack accepted t_final = 5e-10 on a curve ending at
+        # 1e-10 and integrated past its end; a rounding-level overshoot still passes
+        cloud = torus_cloud(5, seed=12)
+        curve = MeasureCurve(TORUS, [0.0, 1e-10], np.stack([cloud.x] * 2),
+                             np.stack([cloud.v] * 2))
+        with pytest.raises(InputError, match="outside curve span"):
+            flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=5e-10, dt=1e-10)
+        curve = MeasureCurve(TORUS, [0.0, 0.3], np.stack([cloud.x] * 2),
+                             np.stack([cloud.v] * 2))
+        path = flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=0.1 + 0.2, dt=0.1)
+        assert path.times[-1] == 0.1 + 0.2 > 0.3
+
     def test_record_time_outside_the_span_rejected_before_stepping(self, monkeypatch):
         import flockkit.kinetic as kinetic
         cloud = torus_cloud(5, seed=12)
