@@ -679,7 +679,8 @@ def _entropy_curve(cfg: RunConfig, section: str, domain, field):
     horizon = cfg.get(section, "t") if section == "jacobian" \
         else max(cfg.get(section, "t_list"))
     curve_dt = cfg.get(section, "curve_dt")
-    save = list(np.arange(0.0, horizon + 1e-12, 10.0 * curve_dt))
+    # every tenth step; evolve_cloud rejects a horizon off the curve_dt grid
+    save = [k * (10.0 * curve_dt) for k in range(round(horizon / curve_dt) // 10 + 1)]
     return kinetic.evolve_cloud(curve_cloud, field, horizon, curve_dt,
                                 save_times=save)
 

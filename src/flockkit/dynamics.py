@@ -1,5 +1,5 @@
-"""N-particle alignment dynamics and the fixed-step RK4 stepper it shares
-with the kinetic cloud and characteristics integrators.
+"""N-particle alignment dynamics and the one RK4 step loop it shares with
+the kinetic cloud and characteristics integrators.
 
 The velocity of every particle relaxes toward the interaction-weighted
 average velocity of its neighbours; the weight of particle ``j`` in the
@@ -13,7 +13,8 @@ stability properties of trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Union
+from functools import partial
+from typing import Callable, ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class ParticleEnsemble:
         return self.q.shape[1]
 
     def max_speed(self) -> float:
-        return float(np.sqrt(np.max(np.sum(np.square(self.p), axis=1))))
+        return _max_speed(self.p)
 
 
 @dataclass
@@ -110,7 +111,6 @@ class MetricsRecord:
     max_speed: float
     connected: bool | None = None
     spectral_gap: float | None = None
-    flock: bool | None = None
 
 
 @dataclass
@@ -162,11 +162,10 @@ def _rhs_arrays(q: np.ndarray, p: np.ndarray, domain: Domain, spec: PotentialSpe
 def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    x: np.ndarray, v: np.ndarray, h: float, step: int, t: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order increments ``(dx, dv)`` of ``x' = v``, ``v' = accel(x, v)``.
-
-    The single fixed-step stepper of the package (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.1); ``h`` may be negative for backward flow.  A stage's
-    ``NumericalError`` is raised again naming ``step`` and its end time ``t``.
+    """Classical fourth-order increments ``(dx, dv)`` of ``x' = v``, ``v' = accel(x, v)``
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1); ``h`` may be negative for
+    backward flow.  A stage's ``NumericalError`` is raised again naming ``step`` and
+    its end time ``t``.
     """
     try:
         k1 = accel(x, v)
@@ -180,6 +179,25 @@ def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise NumericalError(f"{exc}; in an RK4 stage of step {step} (t = {t:.6g})") from exc
     return ((h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
             (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _rk4_steps(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               x: np.ndarray, v: np.ndarray, h: float, n_steps: int, what: str,
+               t0: float = 0.0, wrap: Callable[[np.ndarray], np.ndarray] | None = None
+               ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
+    """The package's one RK4 step loop: yields ``(step, t = t0 + step h, dx, x, v)``
+    after each step, positions passed through ``wrap`` if given; a non-finite state
+    raises ``NumericalError`` naming ``what``.  The yielded arrays are fresh and never
+    mutated, so callers keep them as frames.  A step is taken only when the caller
+    asks for it, so ``accel`` sees the caller state set after the previous yield.
+    """
+    for step in range(1, n_steps + 1):
+        t = t0 + step * h
+        dx, dv = _rk4_increment(accel, x, v, h, step, t)
+        x = x + dx if wrap is None else wrap(x + dx)
+        v = v + dv
+        _require_finite(what, step, t, x, v)
+        yield step, t, dx, x, v
 
 
 def _grid_steps(span: float, dt: float, name: str) -> int:
@@ -207,6 +225,12 @@ def _grid_indices(times: list[float], t0: float, h: float, n_steps: int,
     return steps
 
 
+def _time_slack(times: np.ndarray) -> float:
+    """A billionth of the smallest spacing of an increasing time grid (0 for one time);
+    a time this close below a grid time counts as reaching it, as on the step grid."""
+    return _GRID_RTOL * float(np.diff(times).min()) if len(times) > 1 else 0.0
+
+
 def _require_finite(what: str, step: int, t: float, *arrays: np.ndarray) -> None:
     """``NumericalError`` naming the step and the time if any array is non-finite."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -214,6 +238,10 @@ def _require_finite(what: str, step: int, t: float, *arrays: np.ndarray) -> None
             f"non-finite {what} at step {step} (t = {t:.6g}); "
             "reduce dt or check the configuration"
         )
+
+
+def _max_speed(p: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
 
 
 def _frame_metrics(t: float, p: np.ndarray) -> MetricsRecord:
@@ -225,7 +253,7 @@ def _frame_metrics(t: float, p: np.ndarray) -> MetricsRecord:
         dist_to_manifold=float(np.sqrt(np.sum(np.square(centered)))),
         mean_velocity=pbar,
         second_moment=float(np.sum(np.square(p)) / n),
-        max_speed=float(np.sqrt(np.max(np.sum(np.square(p), axis=1)))),
+        max_speed=_max_speed(p),
     )
 
 
@@ -245,44 +273,31 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
         raise InputError("save_every must be >= 1")
     domain = w0.domain
     eps = mode.epsilon
-    q = wrap_positions(domain, w0.q.copy())
-    q_raw = w0.q.copy()
-    p = w0.p.copy()
+    q_raw = w0.q
+    q = wrap_positions(domain, q_raw)
+    p = w0.p
 
-    times = [0.0]
-    frames_q = [q.copy()]
-    frames_p = [p.copy()]
-    frames_q_raw = [q_raw.copy()]
-    metrics = [_frame_metrics(0.0, p)]
-    max_speed = metrics[0].max_speed
+    saved = [(0.0, q, p, q_raw)]
+    max_speed = _max_speed(p)
 
     def accel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _rhs_arrays(x, v, domain, spec, eps)
 
-    for step in range(1, n_steps + 1):
-        t = float(T) if step == n_steps else step * dt
-        dq, dp = _rk4_increment(accel, q, p, dt, step, t)
+    for step, t, dq, q, p in _rk4_steps(accel, q, p, dt, n_steps, "state",
+                                         wrap=partial(wrap_positions, domain)):
         q_raw = q_raw + dq
-        q = wrap_positions(domain, q + dq)
-        p = p + dp
-        _require_finite("state", step, t, p, q)
-        speed = float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
-        max_speed = max(max_speed, speed)
-
+        max_speed = max(max_speed, _max_speed(p))
         if step % save_every == 0 or step == n_steps:
-            times.append(t)
-            frames_q.append(q.copy())
-            frames_p.append(p.copy())
-            frames_q_raw.append(q_raw.copy())
-            metrics.append(_frame_metrics(t, p))
+            saved.append((float(T) if step == n_steps else t, q, p, q_raw))
 
+    times, qs, ps, q_raws = zip(*saved)
     return Trajectory(
         domain=domain,
         times=np.asarray(times),
-        q=np.stack(frames_q),
-        p=np.stack(frames_p),
-        q_raw=np.stack(frames_q_raw),
-        metrics=metrics,
+        q=np.stack(qs),
+        p=np.stack(ps),
+        q_raw=np.stack(q_raws),
+        metrics=[_frame_metrics(t, pk) for t, pk in zip(times, ps)],
         max_speed_overall=max_speed,
         dt=dt,
     )

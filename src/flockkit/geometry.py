@@ -192,10 +192,6 @@ class CompactBump:
         return self.d * (self.d + 1) / (unit_sphere_area(self.d) * self.radius**self.d)
 
     @property
-    def support_radius(self) -> float:
-        return self.radius
-
-    @property
     def u0(self) -> float:
         return self.normalizer
 

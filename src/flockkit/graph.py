@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from ._kernels import kernel_table
-from .dynamics import ParticleEnsemble, Trajectory
+from .dynamics import ParticleEnsemble, Trajectory, _time_slack
 from .errors import InputError
 from .geometry import PotentialSpec
 
@@ -95,7 +95,7 @@ def detect_flocking(traj: Trajectory, spec: PotentialSpec, radius: float,
         t_detect = float(traj.times[int(np.argmax(suffix_ok))])
 
     window_start = traj.times[-1] - window
-    window_frames = traj.times >= window_start - 1e-12
+    window_frames = traj.times >= window_start - _time_slack(traj.times)
     flocking = bool(ok[window_frames].all())
     return FlockReport(flocking=flocking, v=v if flocking else None,
                        t_detect=t_detect, window=window, radius=radius)

@@ -7,6 +7,8 @@ is a time grid of clouds, interpolated piecewise-constant from the left;
 characteristics integrate the non-autonomous system driven by such a
 curve, while :func:`evolve_cloud` runs the fully coupled empirical
 dynamics (which is itself a measure solution of the kinetic equation).
+Both iterate the one RK4 step loop of :mod:`flockkit.dynamics` and only
+pick the frames they record.
 The transport distance is the exact optimal-assignment cost under the
 phase-space metric, clipped at one; it dominates the bounded-Lipschitz
 distance, so every upper bound certified with it holds a fortiori.
@@ -28,8 +30,8 @@ from .dynamics import (
     _GRID_RTOL,
     _grid_indices,
     _grid_steps,
-    _require_finite,
-    _rk4_increment,
+    _rk4_steps,
+    _time_slack,
 )
 from .errors import ConfigError, DegenerateInputError, InputError, NumericalError
 from .geometry import (
@@ -119,7 +121,8 @@ class MeasureCurve:
         return self.x.shape[1]
 
     def index_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
+        """Index of the last grid time reached by ``t`` (to :func:`_time_slack`)."""
+        idx = int(np.searchsorted(self.times, t + _time_slack(self.times), side="right") - 1)
         return min(max(idx, 0), len(self.times) - 1)
 
     def cloud_at(self, t: float) -> PointCloud:
@@ -359,44 +362,29 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     extra = [] if record_times is None else [float(s) for s in record_times]
     record = sorted(set([t0, t_final] + extra), reverse=backward)
     record_steps = _grid_indices(record, t0, h, n_steps, "record time")
-    rec_times: list[float] = []
-    rec_x: list[np.ndarray] = []
-    rec_v: list[np.ndarray] = []
-    rec_overlap: list[np.ndarray] = []
+    wanted = set(record_steps)
     overlap = np.zeros(x.shape[0])
+    frames = {0: (x, v, overlap)}
+    # the grid cloud driving the next step: in force at its start going forward,
+    # at its end going backward; looked up once per step
+    k = curve.index_at(t0 + h if backward else t0)
 
-    def maybe_record(step: int) -> None:
-        while record_steps and record_steps[0] == step:
-            record_steps.pop(0)
-            rec_times.append(record.pop(0))
-            rec_x.append(x.copy())
-            rec_v.append(v.copy())
-            rec_overlap.append(overlap.copy())
+    def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        return _field_rhs(xx, vv, curve.x[k], curve.v[k], field, curve.domain)
 
-    t = t0
-    maybe_record(0)
-    h_prev = _overlap_fraction(x, curve, field, t) if want_overlap else None
-    for step in range(1, n_steps + 1):
-        k = curve.index_at(t if not backward else t + h)
-        cx, cv = curve.x[k], curve.v[k]
-
-        def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
-            return _field_rhs(xx, vv, cx, cv, field, curve.domain)
-
-        dx, dv = _rk4_increment(accel, x, v, h, step, t0 + step * h)
-        x = x + dx
-        v = v + dv
-        t = t0 + step * h
-        _require_finite("characteristics", step, t, x, v)
+    h_prev = _overlap_fraction(x, curve, field, t0) if want_overlap else None
+    for step, t, _, x, v in _rk4_steps(accel, x, v, h, n_steps, "characteristics", t0):
+        k = curve.index_at(t + h if backward else t)
         if want_overlap:
             h_now = _overlap_fraction(x, curve, field, t)
-            overlap += 0.5 * abs(h) * (h_prev + h_now)
+            overlap = overlap + 0.5 * abs(h) * (h_prev + h_now)
             h_prev = h_now
-        maybe_record(step)
+        if step in wanted:
+            frames[step] = (x, v, overlap)
 
-    return FlowPath(times=np.asarray(rec_times), x=np.stack(rec_x),
-                    v=np.stack(rec_v),
-                    overlap_integral=np.stack(rec_overlap) if want_overlap else None)
+    xs, vs, overlaps = zip(*(frames[step] for step in record_steps))
+    return FlowPath(times=np.asarray(record), x=np.stack(xs), v=np.stack(vs),
+                    overlap_integral=np.stack(overlaps) if want_overlap else None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,32 +461,18 @@ def evolve_cloud(cloud: PointCloud, field: FieldSpec, T: float, dt: float,
     extra = [] if save_times is None else [float(s) for s in save_times]
     save = sorted(set([0.0, float(T)] + extra))
     save_steps = _grid_indices(save, 0.0, dt, n_steps, "save time")
-    x = cloud.x.copy()
-    v = cloud.v.copy()
-    rec_t: list[float] = []
-    rec_x: list[np.ndarray] = []
-    rec_v: list[np.ndarray] = []
-
-    def maybe_record(step: int) -> None:
-        while save_steps and save_steps[0] == step:
-            save_steps.pop(0)
-            rec_t.append(save.pop(0))
-            rec_x.append(x.copy())
-            rec_v.append(v.copy())
+    wanted = set(save_steps)
 
     def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
         return _field_rhs(xx, vv, xx, vv, field, cloud.domain)
 
-    maybe_record(0)
-    for step in range(1, n_steps + 1):
-        dx, dv = _rk4_increment(accel, x, v, dt, step, step * dt)
-        x = x + dx
-        v = v + dv
-        _require_finite("cloud state", step, step * dt, x, v)
-        maybe_record(step)
-
-    return MeasureCurve(domain=cloud.domain, times=np.asarray(rec_t),
-                        x=np.stack(rec_x), v=np.stack(rec_v))
+    frames = {0: (cloud.x, cloud.v)}
+    frames.update((step, (x, v)) for step, _, _, x, v in
+                  _rk4_steps(accel, cloud.x, cloud.v, dt, n_steps, "cloud state")
+                  if step in wanted)
+    xs, vs = zip(*(frames[step] for step in save_steps))
+    return MeasureCurve(domain=cloud.domain, times=np.asarray(save),
+                        x=np.stack(xs), v=np.stack(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +524,14 @@ def stability_bound_check(cloud_a: PointCloud, cloud_b: PointCloud, field: Field
     (times ``slack``), with ``c`` assembled from the Lipschitz constant of
     the field and the interaction-mass lower bound.  Comparison happens in
     log space so huge bounds do not overflow.  The checks sit at the step
-    grid times nearest to ``n_checks`` evenly spaced times in ``(0, T]``.
+    grid times nearest to ``n_checks`` evenly spaced times in ``(0, T]``;
+    more checks than steps would put one at ``t = 0`` and raise ``InputError``.
     """
     consts = field_constants(field, cloud_a.domain)
+    n_steps = _grid_steps(float(T), dt, "T")
+    if not 1 <= n_checks <= n_steps:
+        raise InputError(f"n_checks = {n_checks} must lie in [1, {n_steps}], "
+                         "the number of dt steps in T")
     w0 = transport_distance(cloud_a, cloud_b)
     if w0 == 0.0:
         raise DegenerateInputError("initial clouds coincide; stability ratio undefined")
@@ -564,10 +543,10 @@ def stability_bound_check(cloud_a: PointCloud, cloud_b: PointCloud, field: Field
     curve_b = evolve_cloud(cloud_b, field, T, dt, save_times=check_times)
     rows = []
     ok = True
-    for t in check_times:
-        ka = curve_a.index_at(t)
-        w = transport_distance(PointCloud(curve_a.domain, curve_a.x[ka], curve_a.v[ka]),
-                               PointCloud(curve_b.domain, curve_b.x[ka], curve_b.v[ka]))
+    # the curves are saved at 0 and exactly at the check times, in order
+    for k, t in enumerate(check_times, start=1):
+        w = transport_distance(PointCloud(curve_a.domain, curve_a.x[k], curve_a.v[k]),
+                               PointCloud(curve_b.domain, curve_b.x[k], curve_b.v[k]))
         ratio = w / w0
         log_bound = consts.c * float(t)
         row_ok = np.log(max(ratio, 1e-300)) <= log_bound + np.log(slack)

@@ -139,6 +139,19 @@ class TestDetectFlocking:
         report = detect_flocking(traj, spec, radius=10.0, window=1.0)
         assert not report.flocking and report.v is None
 
+    def test_window_slack_is_relative_to_the_frame_spacing(self):
+        # an absolute 1e-12 slack used to pull the unaligned first frame into
+        # a window of 1e-13 that holds only the last two frames
+        from flockkit import Trajectory
+        q = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        p = np.stack([np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])]
+                     + [np.tile([0.3, 0.1], (3, 1))] * 2)
+        traj = Trajectory(FreeSpace(2), np.array([0.0, 1e-13, 2e-13]),
+                          np.stack([q] * 3), p, np.stack([q] * 3))
+        report = detect_flocking(traj, CompactBump(d=2, radius=1.0), radius=1e-6,
+                                 window=1e-13)
+        assert report.flocking and report.t_detect == 1e-13
+
     def test_window_longer_than_span_rejected(self):
         w0 = ParticleEnsemble(FreeSpace(2), np.zeros((2, 2)), np.zeros((2, 2)))
         spec = CompactBump(d=2, radius=1.0)

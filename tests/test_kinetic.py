@@ -298,6 +298,37 @@ class TestFlow:
         np.testing.assert_array_equal(curve.cloud_at(0.1).x, curve.x[1])
         np.testing.assert_array_equal(curve.cloud_at(10.0).x, curve.x[-1])
 
+    def test_lookup_slack_is_relative_to_the_grid_spacing(self):
+        # an absolute 1e-12 slack used to map t = 0 to the last of these clouds
+        cloud = torus_cloud(2, seed=13)
+        curve = MeasureCurve(TORUS, [0.0, 1e-13, 2e-13], np.stack([cloud.x] * 3),
+                             np.stack([cloud.v] * 3))
+        assert [curve.index_at(t) for t in (0.0, 0.5e-13, 1e-13, 2e-13)] == [0, 0, 1, 2]
+        # a rounding-level shortfall still reaches the grid time, a real one does not
+        curve = MeasureCurve(TORUS, np.linspace(0.0, 1.0, 11), np.stack([cloud.x] * 11),
+                             np.stack([cloud.v] * 11))
+        assert curve.index_at(0.3 - 1e-12) == 3
+        assert curve.index_at(0.3 - 1e-9) == 2
+
+    def test_backward_records_at_one_step_share_frames_and_overlap(self):
+        # 0.2 and 0.2 + 1e-12 both lie on step 6 of the backward grid from 0.5
+        cloud = torus_cloud(8, seed=14)
+        field = FieldSpec(spec=GAUSS, mode=Regularized(0.1))
+        curve = evolve_cloud(cloud, field, T=0.5, dt=0.05, save_times=[0.1, 0.2, 0.3, 0.4])
+        w0 = torus_cloud(5, seed=15)
+        path = flow_characteristics(w0, curve, field, t_final=0.0, dt=0.05, t_start=0.5,
+                                    record_times=[0.2, 0.2 + 1e-12], want_overlap=True)
+        assert list(path.times) == [0.5, 0.2 + 1e-12, 0.2, 0.0]
+        for frames in (path.x, path.v, path.overlap_integral):
+            np.testing.assert_array_equal(frames[1], frames[2])
+        # and they are the state at 0.2 itself, not a later one
+        short = flow_characteristics(w0, curve, field, t_final=0.2, dt=0.05, t_start=0.5,
+                                     want_overlap=True)
+        np.testing.assert_array_equal(path.x[1], short.x[-1])
+        np.testing.assert_array_equal(path.v[1], short.v[-1])
+        np.testing.assert_array_equal(path.overlap_integral[1], short.overlap_integral[-1])
+        assert np.all(path.overlap_integral[1] < path.overlap_integral[-1])
+
 
 class TestTransportDistance:
     def test_identical_clouds(self):
@@ -432,7 +463,6 @@ class TestStepGridSweep:
     @staticmethod
     def counted_steps(monkeypatch):
         import flockkit.dynamics as dynamics
-        import flockkit.kinetic as kinetic
         steps = []
         increment = dynamics._rk4_increment
 
@@ -440,7 +470,7 @@ class TestStepGridSweep:
             steps.append(args[3])
             return increment(*args)
 
-        monkeypatch.setattr(kinetic, "_rk4_increment", counting)
+        # every integrator steps through the one loop in dynamics
         monkeypatch.setattr(dynamics, "_rk4_increment", counting)
         return steps
 
@@ -556,6 +586,17 @@ class TestStability:
         report = stability_bound_check(cloud_a, cloud_b, PLAIN_FIELD, T=0.2,
                                        dt=0.01, n_checks=3)
         assert [row["t"] for row in report.rows] == [0.07, 0.13, 0.2]
+
+    def test_more_checks_than_steps_rejected(self):
+        # eight checks over two steps used to include a vacuous one at t = 0
+        cloud_a = torus_cloud(10, seed=29)
+        cloud_b = PointCloud(TORUS, cloud_a.x + 0.3, cloud_a.v)
+        with pytest.raises(InputError, match="n_checks = 8"):
+            stability_bound_check(cloud_a, cloud_b, PLAIN_FIELD, T=0.01, dt=0.005,
+                                  n_checks=8)
+        report = stability_bound_check(cloud_a, cloud_b, PLAIN_FIELD, T=0.01, dt=0.005,
+                                       n_checks=2)
+        assert [row["t"] for row in report.rows] == [0.005, 0.01]
 
 
 class TestFieldConstants:
