@@ -138,6 +138,31 @@ def test_fourier_error_constant(d, ratio):
     assert worst <= _kernels._FOURIER_ERR
 
 
+@pytest.mark.parametrize("d,ratio,k_max", [(3, 0.3, 5), (2, 0.1, 13), (1, 0.05, 26)])
+def test_factors_match_direct_trig(d, ratio, k_max):
+    # K = 26 is the largest mode count the router admits; the recurrence's
+    # error grows like k eps, so it is held to 3 K eps
+    period = 10.0
+    spec = GaussianPeriodized(d=d, width=ratio * period, period=period)
+    assert len(spec._fourier_modes) == k_max + 1
+    rng = np.random.default_rng(9 + d)
+    x = rng.uniform(-period, 2.0 * period, (3000, d))
+    x[:3] = [[0.5 * period] * d, [-0.5 * period] * d, [1.5 * period] * d]  # phase ends
+    x[3] = 0.0
+    f = _kernels._factors(x, period, k_max)
+    assert f.shape == (d, x.shape[0], 2 * k_max + 1)
+    assert np.all(f[:, :, 0] == 1.0)
+    omega = 2.0 * math.pi / period
+    xt = x.T - period * np.rint(x.T / period)
+    assert f[:, :, 1].tobytes() == np.cos(omega * xt).tobytes()
+    assert f[:, :, k_max + 1].tobytes() == np.sin(omega * xt).tobytes()
+    assert f[:, 3].tolist() == [[1.0] * (k_max + 1) + [0.0] * k_max] * d
+    arg = xt[:, :, None] * (omega * np.arange(1, k_max + 1))
+    err = max(np.abs(f[:, :, 1:k_max + 1] - np.cos(arg)).max(),
+              np.abs(f[:, :, k_max + 1:] - np.sin(arg)).max())
+    assert err <= 3 * k_max * EPS
+
+
 def test_clustered_sources_send_far_rows_to_the_direct_path():
     spec = GaussianPeriodized(d=2, width=1.0, period=10.0)
     dom = Torus(2, 10.0)
