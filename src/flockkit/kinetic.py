@@ -391,13 +391,23 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
 # Transport distance
 
 
+# pairs per block of the cost matrix: a block's difference tables stay cache-sized
+_BLOCK_PAIRS = 32768
+
+
 def _phase_cost(a: PointCloud, b: PointCloud) -> np.ndarray:
-    # coordinate-major difference tables, summed as (sum_c dx_c^2) + (sum_c dv_c^2);
-    # the velocity table is built once the position table is freed (memory peak)
-    cost = _squared_norm(displacement_table(a.domain, a.x, b.x))
-    dv = np.ascontiguousarray(a.v.T)[:, :, None] - np.ascontiguousarray(b.v.T)[:, None, :]
-    cost += _squared_norm(dv.transpose(1, 2, 0))
-    return np.sqrt(cost, out=cost)
+    # one (n, m) result filled in row blocks; per block, (sum_c dx_c^2) + (sum_c dv_c^2)
+    # from coordinate-major difference tables, so every entry is the full-table value
+    cost = np.empty((a.n, b.n))
+    rows = max(1, _BLOCK_PAIRS // b.n)
+    av = np.ascontiguousarray(a.v.T)
+    bv = np.ascontiguousarray(b.v.T)[:, None, :]
+    for lo in range(0, a.n, rows):
+        hi = lo + rows
+        block = _squared_norm(displacement_table(a.domain, a.x[lo:hi], b.x))
+        block += _squared_norm((av[:, lo:hi, None] - bv).transpose(1, 2, 0))
+        np.sqrt(block, out=cost[lo:hi])
+    return cost
 
 
 def _subsample(cloud: PointCloud, m: int, rng: np.random.Generator) -> PointCloud:
@@ -410,12 +420,17 @@ def transport_distance(a: PointCloud, b: PointCloud, max_points: int = 2000,
     """Optimal-assignment phase-space distance between clouds, clipped at one.
 
     Exact Hungarian matching under ``sqrt(|dx|^2 + |dv|^2)`` with minimum
-    images in position on a torus.  Unequal clouds are reduced by seeded
-    uniform subsampling of the larger one; clouds beyond ``max_points`` are
+    images in position on a torus; both clouds must lie on one domain.
+    Unequal clouds are reduced by seeded uniform subsampling of the larger
+    one; clouds beyond ``max_points`` (an integer of at least one) are
     subsampled to that cap.
     """
-    if type(a.domain) is not type(b.domain) or a.domain.d != b.domain.d:
-        raise InputError("transport distance requires clouds on the same domain")
+    if a.domain != b.domain:
+        raise InputError("transport distance requires clouds on the same domain; "
+                         f"got {a.domain} and {b.domain}")
+    if isinstance(max_points, bool) or not isinstance(max_points, (int, np.integer)) \
+            or max_points < 1:
+        raise InputError(f"max_points must be an integer >= 1, got {max_points!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, a.n, b.n]))
     m = min(a.n, b.n, max_points)
     if a.n != m:

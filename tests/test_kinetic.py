@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -28,6 +30,7 @@ from flockkit import (
     stability_bound_check,
     transport_distance,
 )
+from flockkit import kinetic
 from flockkit.kinetic import MeasureCurve, _phase_cost
 from flockkit.density import torus_gaussian_sampler
 
@@ -357,17 +360,64 @@ class TestTransportDistance:
             assert transport_distance(a, b) == pytest.approx(min(brute / n, 1.0),
                                                              abs=1e-12)
 
-    @pytest.mark.parametrize("domain", [TORUS, FreeSpace(2)])
+    @pytest.mark.parametrize("domain", [TORUS, FreeSpace(2), Torus(1, 10.0), FreeSpace(1),
+                                        Torus(3, 10.0), FreeSpace(3)])
     def test_phase_cost_matches_the_broadcast_formula(self, domain):
-        rng = np.random.default_rng(16)
-        a = PointCloud(domain, rng.uniform(0, 10, (30, 2)), rng.uniform(-0.6, 0.6, (30, 2)))
-        b = PointCloud(domain, rng.uniform(0, 10, (30, 2)), rng.uniform(-0.6, 0.6, (30, 2)))
-        dx = a.x[:, None, :] - b.x[None, :, :]
-        if domain is TORUS:
-            dx -= TORUS.size * np.rint(dx / TORUS.size)
-        dv = a.v[:, None, :] - b.v[None, :, :]
-        ref = np.sqrt(np.sum(np.square(dx), axis=-1) + np.sum(np.square(dv), axis=-1))
-        assert _phase_cost(a, b).tobytes() == ref.tobytes()
+        # m at 1, B-1, B, B+1 and 3B+5 for B the rows of a block at 200 columns, and n
+        # at the same offsets from the rows of a block at m columns
+        d = domain.d
+        rng = np.random.default_rng(16 + d)
+
+        def cloud(n):
+            v = rng.uniform(-1.0, 1.0, (n, d)) / np.sqrt(d)
+            return PointCloud(domain, rng.uniform(0, 10, (n, d)), v)
+
+        block = kinetic._BLOCK_PAIRS // 200
+        for m in (1, block - 1, block, block + 1, 3 * block + 5):
+            rows = max(1, kinetic._BLOCK_PAIRS // m)
+            for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+                if n == m:
+                    continue
+                a, b = cloud(n), cloud(m)
+                dx = a.x[:, None, :] - b.x[None, :, :]
+                if isinstance(domain, Torus):
+                    dx -= domain.size * np.rint(dx / domain.size)
+                dv = a.v[:, None, :] - b.v[None, :, :]
+                ref = np.sqrt(np.sum(np.square(dx), axis=-1) + np.sum(np.square(dv), axis=-1))
+                assert _phase_cost(a, b).tobytes() == ref.tobytes(), (n, m)
+
+    @pytest.mark.parametrize("domain", [TORUS, FreeSpace(2)])
+    def test_phase_cost_memory_is_the_result_plus_one_block(self, domain):
+        rng = np.random.default_rng(17)
+        a = PointCloud(domain, rng.uniform(0, 10, (2000, 2)), rng.uniform(-0.6, 0.6, (2000, 2)))
+        b = PointCloud(domain, rng.uniform(0, 10, (2000, 2)), rng.uniform(-0.6, 0.6, (2000, 2)))
+        tracemalloc.start()
+        try:
+            cost = _phase_cost(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cost.nbytes
+
+    def test_clouds_on_different_tori_rejected(self):
+        # a Torus(2, 5) cloud used to be measured with the Torus(2, 10) period
+        a = PointCloud(Torus(2, 10.0), np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))
+        b = PointCloud(Torus(2, 5.0), np.array([[4.0, 4.0]]), np.array([[0.0, 0.0]]))
+        with pytest.raises(InputError, match="same domain"):
+            transport_distance(a, b)
+        with pytest.raises(InputError, match="same domain"):
+            transport_distance(a, PointCloud(FreeSpace(2), a.x, a.v))
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "10", None])
+    def test_max_points_must_be_a_positive_integer(self, cap):
+        a = torus_cloud(5, seed=18)
+        with pytest.raises(InputError, match=f"max_points .* got {re.escape(repr(cap))}"):
+            transport_distance(a, a, max_points=cap)
+
+    def test_max_points_accepts_numpy_integers(self):
+        a, b = torus_cloud(8, seed=18), torus_cloud(8, seed=19)
+        assert transport_distance(a, b, max_points=np.int64(3)) == \
+            transport_distance(a, b, max_points=3)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(15)
