@@ -107,23 +107,23 @@ def kernel_table(spec: PotentialSpec, domain: Domain, x: np.ndarray,
 
 def _direct_sums(spec: PotentialSpec, domain: Domain, x: np.ndarray, v: np.ndarray,
                  y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums from the kernel matrix, centred on the first source velocity."""
+    """The sums from the kernel matrix, centred on the first source velocity.  Targets
+    beyond one row chunk are split into chunks that this same call sums, so a call of
+    one chunk and one product block builds its results directly."""
     n, d = x.shape
     m = y.shape[0]
+    step = _row_chunks(n, m, d)
+    if step < n:
+        parts = [_direct_sums(spec, domain, x[lo:lo + step], v[lo:lo + step], y, u)
+                 for lo in range(0, n, step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     c = u[0]
     uc = u - c
-    den = np.empty(n)
-    s = np.empty((n, d))
-    step = _row_chunks(n, m, d)
+    w = spec.values(displacement_table(domain, x, y))  # x itself: one transpose if y is x
+    den = np.add.reduce(w, axis=1)
     block = max(1, _PRODUCT_MACS // (m * d))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        w = spec.values(displacement_table(domain, x[lo:hi], y))
-        den[lo:hi] = w.sum(axis=1)
-        for b in range(lo, hi, block):
-            e = min(hi, b + block)
-            s[b:e] = w[b - lo:e - lo] @ uc
-    s -= (v - c) * den[:, None]
+    s = w @ uc if block >= n else np.concatenate([w[b:b + block] @ uc for b in range(0, n, block)])
+    s -= (uc if v is u else v - c) * den[:, None]
     return den, s
 
 

@@ -12,6 +12,7 @@ stability properties of trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Iterator, Union
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._kernels import alignment_sums
 from .errors import InputError, NumericalError
-from .geometry import Domain, PotentialSpec, wrap_positions
+from .geometry import Domain, PotentialSpec, _squared_norm, wrap_positions
 
 __all__ = [
     "ParticleEnsemble",
@@ -150,35 +151,36 @@ def rhs(state: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode = Plain
 
 def _rhs_arrays(q: np.ndarray, p: np.ndarray, domain: Domain, spec: PotentialSpec,
                 eps: float) -> np.ndarray:
-    den, s = alignment_sums(spec, domain, q, p, q, p)
-    if eps == 0.0 and float(den.min()) < _DEN_FLOOR:
+    den, s = alignment_sums(spec, domain, q, p, q, p)  # fresh arrays, divided in place
+    if eps:
+        den += eps
+    elif np.minimum.reduce(den) < _DEN_FLOOR:
         raise NumericalError(
             "interaction row mass underflowed below 1e-30 in plain mode; "
             "check the potential configuration"
         )
-    return s / (den + eps)[:, None]
+    return np.divide(s, den[:, None], out=s)
 
 
 def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   x: np.ndarray, v: np.ndarray, h: float, step: int, t: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order increments ``(dx, dv)`` of ``x' = v``, ``v' = accel(x, v)``
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1); ``h`` may be negative for
-    backward flow.  A stage's ``NumericalError`` is raised again naming ``step`` and
-    its end time ``t``.
+                   z: np.ndarray, h: float, step: int, t: float) -> np.ndarray:
+    """Classical fourth-order increment ``[dx, dv]`` of ``z = [x, v]`` under ``x' = v``,
+    ``v' = accel(x, v)`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1); ``h`` may be
+    negative for backward flow.  Stage ``i`` is one ``[x_i, v_i, a_i]`` buffer whose state
+    and slope overlap, so each update is one elementwise call over both halves.  A stage's
+    ``NumericalError`` is raised again naming ``step`` and its end time ``t``.
     """
+    stages = np.empty((4, 3, *z.shape[1:]))
+    stages[0, :2] = z
     try:
-        k1 = accel(x, v)
-        v2 = v + 0.5 * h * k1
-        k2 = accel(x + 0.5 * h * v, v2)
-        v3 = v + 0.5 * h * k2
-        k3 = accel(x + 0.5 * h * v2, v3)
-        v4 = v + h * k3
-        k4 = accel(x + h * v3, v4)
+        for i, c in enumerate((0.5 * h, 0.5 * h, h)):
+            stages[i, 2] = accel(stages[i, 0], stages[i, 1])
+            np.add(z, c * stages[i, 1:], out=stages[i + 1, :2])
+        stages[3, 2] = accel(stages[3, 0], stages[3, 1])
     except NumericalError as exc:
         raise NumericalError(f"{exc}; in an RK4 stage of step {step} (t = {t:.6g})") from exc
-    return ((h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
-            (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k = stages[:, 1:]
+    return (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
 
 
 def _rk4_steps(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -191,13 +193,15 @@ def _rk4_steps(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mutated, so callers keep them as frames.  A step is taken only when the caller
     asks for it, so ``accel`` sees the caller state set after the previous yield.
     """
+    z = np.stack([x, v])
     for step in range(1, n_steps + 1):
         t = t0 + step * h
-        dx, dv = _rk4_increment(accel, x, v, h, step, t)
-        x = x + dx if wrap is None else wrap(x + dx)
-        v = v + dv
-        _require_finite(what, step, t, x, v)
-        yield step, t, dx, x, v
+        dz = _rk4_increment(accel, z, h, step, t)
+        z = z + dz
+        if wrap is not None:
+            z[0] = wrap(z[0])
+        _require_finite(what, step, t, z)
+        yield step, t, dz[0], z[0], z[1]
 
 
 def _grid_steps(span: float, dt: float, name: str) -> int:
@@ -231,9 +235,9 @@ def _time_slack(times: np.ndarray) -> float:
     return _GRID_RTOL * float(np.diff(times).min()) if len(times) > 1 else 0.0
 
 
-def _require_finite(what: str, step: int, t: float, *arrays: np.ndarray) -> None:
-    """``NumericalError`` naming the step and the time if any array is non-finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _require_finite(what: str, step: int, t: float, state: np.ndarray) -> None:
+    """``NumericalError`` naming the step and the time if the state is non-finite."""
+    if not np.isfinite(state).all():
         raise NumericalError(
             f"non-finite {what} at step {step} (t = {t:.6g}); "
             "reduce dt or check the configuration"
@@ -241,7 +245,8 @@ def _require_finite(what: str, step: int, t: float, *arrays: np.ndarray) -> None
 
 
 def _max_speed(p: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
+    """The bits of ``np.sqrt(np.max(np.sum(np.square(p), axis=1)))``, with fewer calls."""
+    return math.sqrt(_squared_norm(p).max())
 
 
 def _frame_metrics(t: float, p: np.ndarray) -> MetricsRecord:
@@ -269,8 +274,9 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
     wrap-consistent.  Deterministic for fixed inputs.
     """
     n_steps = _grid_steps(float(T), dt, "T")
-    if save_every < 1:
-        raise InputError("save_every must be >= 1")
+    if (isinstance(save_every, bool) or not isinstance(save_every, (int, np.integer))
+            or save_every < 1):
+        raise InputError(f"save_every must be an integer >= 1, got {save_every!r}")
     domain = w0.domain
     eps = mode.epsilon
     q_raw = w0.q

@@ -119,7 +119,7 @@ def displacement_table(domain: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarr
     the elementwise loops run over the ``n m`` pairs of each plane, not over ``d``.
     """
     xt = np.ascontiguousarray(np.asarray(x, dtype=float).T)
-    yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
+    yt = xt if y is x else np.ascontiguousarray(np.asarray(y, dtype=float).T)
     delta = xt[:, :, None] - yt[:, None, :]
     if isinstance(domain, Torus):
         delta -= domain.size * np.rint(delta / domain.size)
@@ -413,21 +413,31 @@ class GaussianPeriodized:
         n = self._n_images
         return np.arange(-n, n + 1, dtype=float) * self.period
 
+    @cached_property
+    def _theta_shifts(self) -> np.ndarray:
+        """``_shifts`` less the positive images of weight ``exp(-shift^2 / 2 w^2) < 2^-60``: at
+        ``s >= 0`` such an image is below that weight times the ``shift = 0`` term, which the
+        ascending sum already holds, so it is under half an ulp and cannot change a bit."""
+        keep = [shift for shift in self._shifts
+                if shift <= 0.0 or math.exp(-shift * shift / (2.0 * self.width**2)) >= 2.0**-60]
+        return np.array(keep)
+
     def _theta(self, s: np.ndarray) -> np.ndarray:
         """One-dimensional wrapped Gaussian evaluated componentwise: the only image sum.
 
         ``x / (-2 w^2)`` has the bits of ``-x / (2 w^2)``: rounding is symmetric in sign.
+        The first image starts the sum, since ``0 + x`` is ``x`` (as is ``s + 0``).
         """
-        s = np.abs(np.asarray(s, dtype=float))  # exactly even in s
-        acc = np.zeros_like(s)
-        term = np.empty_like(s)
+        s = np.asarray(s, dtype=float)
+        s = np.abs(s, out=np.empty_like(s))  # exactly even in s; an array even for one value
         minus_two_w2 = -2.0 * self.width**2
-        for shift in self._shifts:
-            np.add(s, shift, out=term)
-            np.square(term, out=term)
+        shifts, acc = self._theta_shifts, None
+        for k, shift in enumerate(shifts):
+            term = s if k == len(shifts) - 1 else np.empty_like(s)  # the last reuses |s|
+            np.square(np.add(s, shift, out=term) if shift else s, out=term)  # s + 0 is s
             term /= minus_two_w2
             np.exp(term, out=term)
-            acc += term
+            acc = term if acc is None else np.add(acc, term, out=acc)
         acc *= self._norm1
         return acc
 
@@ -468,9 +478,11 @@ class GaussianPeriodized:
 
     def values(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
-        out = self._theta(delta[..., 0])
+        # one pass over all coordinate planes, then their product in coordinate order
+        thetas = self._theta(np.moveaxis(delta, -1, 0))
+        out = thetas[0]
         for c in range(1, self.d):
-            out *= self._theta(delta[..., c])
+            out = out * thetas[c]
         return out[()]  # a scalar for one displacement, like the other families
 
     def grad(self, delta: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ from flockkit import (
     integrate,
     rhs,
 )
-from flockkit.dynamics import default_dt
+from flockkit._kernels import alignment_sums, kernel_table
+from flockkit.dynamics import _max_speed, _rhs_arrays, default_dt
+from flockkit.geometry import wrap_positions
 
 
 def cluster_state(n=8, d=2, speed=0.5, seed=0, spread=0.6):
@@ -168,6 +170,19 @@ class TestIntegrate:
         assert traj.times.tolist() == [0.0]
         np.testing.assert_array_equal(traj.p[-1], w0.p)
 
+    @pytest.mark.parametrize("save_every", [2.5, True, 0, -3, "5"])
+    def test_save_every_must_be_a_positive_integer(self, save_every):
+        # 2.5 used to save every 5th step and True every step, without an error
+        with pytest.raises(InputError, match=rf"save_every .*got {save_every!r}"):
+            integrate(cluster_state(), CompactBump(d=2, radius=1.0), Plain(), T=0.1, dt=0.01,
+                      save_every=save_every)
+
+    def test_save_every_takes_numpy_integers(self):
+        w0, spec = cluster_state(), CompactBump(d=2, radius=1.0)
+        traj = integrate(w0, spec, Plain(), T=0.1, dt=0.01, save_every=np.int64(5))
+        ref = integrate(w0, spec, Plain(), T=0.1, dt=0.01, save_every=5)
+        assert traj.times.tolist() == ref.times.tolist() and len(traj.times) == 3
+
     def test_invalid_grid(self):
         w0 = cluster_state()
         with pytest.raises(InputError):
@@ -180,6 +195,98 @@ class TestIntegrate:
         spec = CompactBump(d=2, radius=2.0)
         dt = default_dt(spec, w0)
         assert dt == pytest.approx(1e-3 * 2.0 / w0.max_speed())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_integrate(w0, spec, eps, T, dt):
+    """The step loop as it was written before the stage buffers: separate position and
+    velocity updates, ``s / (den + eps)`` and the one-chunk direct sums with ``w.sum``,
+    and the max speed by ``np.sum`` over the row."""
+    domain = w0.domain
+
+    def accel(x, v):
+        w = kernel_table(spec, domain, x)
+        den = w.sum(axis=1)
+        c = v[0]
+        s = w @ (v - c) - (v - c) * den[:, None]
+        return s / (den + eps)[:, None]
+
+    def max_speed(p):
+        return float(np.sqrt(np.max(np.sum(np.square(p), axis=1))))
+
+    h = dt
+    q_raw, p = w0.q, w0.p
+    q = wrap_positions(domain, q_raw)
+    frames, top = [(q, p, q_raw)], max_speed(p)
+    for _ in range(int(round(T / dt))):
+        x, v = q, p
+        k1 = accel(x, v)
+        v2 = v + 0.5 * h * k1
+        k2 = accel(x + 0.5 * h * v, v2)
+        v3 = v + 0.5 * h * k2
+        k3 = accel(x + 0.5 * h * v2, v3)
+        v4 = v + h * k3
+        k4 = accel(x + h * v3, v4)
+        dx = (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        dv = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        q_raw = q_raw + dx
+        q = wrap_positions(domain, q + dx)
+        p = p + dv
+        top = max(top, max_speed(p))
+        frames.append((q, p, q_raw))
+    return frames, top
+
+
+class TestLeanStepBits:
+    """The lean step forms have the bits of the expressions they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_max_speed(self, d):
+        rng = np.random.default_rng(d)
+        p = rng.standard_normal((9, d)) * np.logspace(-170, 150, 9)[:, None]
+        p[[2, 5]] = 0.0
+        # equal-scale rows: the order of the coordinate sum shows in the last bit
+        cases = [p, np.zeros((4, d)), p[:1], -p] + [rng.standard_normal((3, d))
+                                                     for _ in range(200)]
+        for case in cases:
+            ref = np.sqrt(np.max(np.sum(np.square(case), axis=1)))
+            assert same_bits(_max_speed(case), ref)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
+    def test_rhs_arrays(self, eps):
+        w0 = cluster_state(n=12, seed=4)
+        for spec in (CompactBump(d=2, radius=1.0), LogGradBounded(d=2, decay=0.7)):
+            den, s = alignment_sums(spec, w0.domain, w0.q, w0.p, w0.q, w0.p)
+            got = _rhs_arrays(w0.q, w0.p, w0.domain, spec, eps)
+            assert same_bits(got, s / (den + eps)[:, None])
+
+    @pytest.mark.parametrize("mode", [Plain(), Regularized(0.1)], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("family", ["bump", "loggrad", "gaussian"])
+    def test_integrate_matches_the_reference_stepper(self, family, mode):
+        rng = np.random.default_rng(17)
+        if family == "gaussian":
+            dom, spec = Torus(2, 10.0), GaussianPeriodized(d=2, width=1.0, period=10.0)
+            # a cluster at the corner moving out across both seams
+            q = np.mod(9.6 + 0.5 * rng.standard_normal((10, 2)), 10.0)
+            p = 1.5 + 0.3 * rng.standard_normal((10, 2))
+        else:
+            dom = FreeSpace(2)
+            spec = CompactBump(d=2, radius=1.0) if family == "bump" else LogGradBounded(d=2)
+            q, p = 0.6 * rng.standard_normal((10, 2)), rng.standard_normal((10, 2))
+        w0 = ParticleEnsemble(dom, q, p)
+        traj = integrate(w0, spec, mode, T=0.4, dt=0.002)
+        frames, top = reference_integrate(w0, spec, mode.epsilon, T=0.4, dt=0.002)
+        assert traj.n_frames == len(frames) == 201
+        for k, (qk, pk, rawk) in enumerate(frames):
+            assert same_bits(traj.q[k], qk) and same_bits(traj.p[k], pk), k
+            assert same_bits(traj.q_raw[k], rawk), k
+        assert same_bits(traj.max_speed_overall, top)
+        if family == "gaussian":
+            assert np.any(traj.q_raw[-1] >= 10.0)  # the seam was crossed
 
 
 class TestBarycenterProjector:

@@ -150,6 +150,64 @@ class TestCoordinateMajorTables:
             assert same_bits(spec.values(delta), broadcast_values(spec, delta))
 
 
+def all_shift_theta(spec, s):
+    """The wrapped Gaussian summed over every shift of ``_shifts``, none pruned."""
+    s = np.abs(np.asarray(s, dtype=float))
+    acc = np.zeros_like(s)
+    for shift in spec._shifts:
+        acc += np.exp(np.square(s + shift) / (-2.0 * spec.width**2))
+    return acc * spec._norm1
+
+
+class TestPrunedImageSum:
+    """Skipping the positive images below 2^-60 leaves every bit of the image sum."""
+
+    # (width, period, n_max, shifts kept): w / D <= 0.1 prunes every positive image, C10's
+    # (2, 5) none, (1, 5) only the second one and (1.3, 10) none
+    CASES = [(1.0, 10.0, None, 2), (0.37, 10.0, None, 2), (0.5, 5.0, None, 2),
+             (0.1, 1.0, None, 2), (1.0, 10.0, 3, 4), (2.0, 5.0, None, 7), (1.0, 5.0, None, 4),
+             (1.3, 10.0, None, 3)]
+
+    @staticmethod
+    def inputs(width, period):
+        rng = np.random.default_rng(int(100 * width + period))
+        half = period / 2.0
+        # the exponent s^2 / 2w^2 from 700 to 750: exp underflows through the subnormals
+        tail = width * np.sqrt(2.0 * np.linspace(700.0, 750.0, 41))
+        return [
+            rng.uniform(-half, half, 500),  # minimum images on the torus
+            np.array([0.0, -0.0, half, -half, np.nextafter(half, 0.0), 5e-324, 1e-300]),
+            rng.uniform(-3.0 * period, 3.0 * period, (20, 25)),  # free space
+            np.concatenate([tail, tail + period, -tail, np.array([np.inf, 1e300])]),
+            np.float64(0.3 * period),
+        ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("width,period,n_max,kept", CASES)
+    def test_theta_matches_the_all_shift_sum(self, width, period, n_max, kept):
+        spec = GaussianPeriodized(d=2, width=width, period=period, n_max=n_max)
+        assert spec._theta_shifts.tolist() == spec._shifts[:kept].tolist()
+        for s in self.inputs(width, period):
+            assert same_bits(spec._theta(s), all_shift_theta(spec, s))
+
+    def test_particle_width_keeps_two_shifts(self):
+        spec = GaussianPeriodized(d=2, width=1.0, period=10.0)
+        assert spec._shifts.tolist() == [-10.0, 0.0, 10.0]
+        assert spec._theta_shifts.tolist() == [-10.0, 0.0]
+
+    @pytest.mark.parametrize("width,period,n_max,kept", CASES)
+    def test_derived_constants(self, width, period, n_max, kept):
+        for d in (1, 2, 3):
+            spec = GaussianPeriodized(d=d, width=width, period=period, n_max=n_max)
+            t0 = float(all_shift_theta(spec, np.zeros(1))[0])
+            far = float(all_shift_theta(spec, np.array([period / 2.0]))[0])
+            tmax = float(np.max(np.abs(spec._theta_prime(np.linspace(0.0, period / 2.0,
+                                                                       20001)))))
+            assert same_bits(spec.u0, t0**d)
+            assert same_bits(spec.inf_lower(Torus(d, period)), far**d)
+            assert same_bits(spec.grad_sup, math.sqrt(d) * tmax * t0 ** (d - 1))
+
+
 class TestCompactBump:
     def test_unit_value_at_origin_d1(self):
         # normalizer forced by the unit integral of (1 - |x|) over [-1, 1]
