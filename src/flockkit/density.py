@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.spatial import cKDTree
 from scipy.special import digamma, gammainc
 
@@ -235,6 +234,8 @@ def moment_diagnostics(traj: Trajectory) -> MomentReport:
     second = np.sum(np.square(traj.p), axis=(1, 2)) / traj.p.shape[1]
 
     if len(times) >= 2:
+        # imported here so that importing flockkit does not load scipy.integrate
+        from scipy.integrate import cumulative_simpson
         integral = cumulative_simpson(mean_v, x=times, axis=0, initial=0.0)
         ma1_err = float(np.max(np.abs(mean_x - mean_x[0] - integral)))
         increases = np.diff(second)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import alignment_sums
 from .errors import InputError, NumericalError
-from .geometry import Domain, PotentialSpec, _squared_norm, wrap_positions
+from .geometry import Domain, PotentialSpec, Torus, _squared_norm, wrap_positions
 
 __all__ = [
     "ParticleEnsemble",
@@ -289,8 +289,8 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
     def accel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _rhs_arrays(x, v, domain, spec, eps)
 
-    for step, t, dq, q, p in _rk4_steps(accel, q, p, dt, n_steps, "state",
-                                         wrap=partial(wrap_positions, domain)):
+    wrap = partial(wrap_positions, domain) if isinstance(domain, Torus) else None
+    for step, t, dq, q, p in _rk4_steps(accel, q, p, dt, n_steps, "state", wrap=wrap):
         q_raw = q_raw + dq
         max_speed = max(max_speed, _max_speed(p))
         if step % save_every == 0 or step == n_steps:

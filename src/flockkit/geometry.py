@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError
 
@@ -250,6 +249,8 @@ class LogGradBounded:
 
     @cached_property
     def normalizer(self) -> float:
+        # imported here so that importing flockkit does not load scipy.integrate
+        from scipy.integrate import quad
         area = unit_sphere_area(self.d)
         integral, _ = quad(
             lambda r: math.exp(-math.sqrt(1.0 + r * r) / self.decay) * r ** (self.d - 1),

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._kernels import alignment_sums
 from .dynamics import (
@@ -180,10 +179,10 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
     over the regularized mass minus ``v`` (the textbook display), which
     returns ``-v`` at zero overlap; the two coincide in plain mode.
     """
-    den, s = alignment_sums(field.spec, domain, x, v, cloud_x, cloud_v)
+    den, s = alignment_sums(field.spec, domain, x, v, cloud_x, cloud_v)  # fresh, divided in place
     n_src = cloud_x.shape[0]
     if isinstance(field.mode, Plain):
-        if float(den.min()) <= 0.0:
+        if np.minimum.reduce(den) <= 0.0:
             # beyond D / (2 eps) the minimum image can be off by half a cell
             reach = max(np.abs(x).max(), np.abs(cloud_x).max())
             if not reach < 0.5 * domain.size / np.finfo(float).eps:
@@ -193,14 +192,15 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
                 "zero interaction mass in plain mode; the field-spec invariant "
                 "(positive infimum on the torus) is violated"
             )
-        return s / den[:, None]
+        return np.divide(s, den[:, None], out=s)
     eps_total = field.mode.epsilon * n_src
     if literal:
         out = (s - eps_total * v) / (den + eps_total)[:, None]
         if field.zero_overlap_zero:
             out[den == 0.0] = 0.0
         return out
-    return s / (den + eps_total)[:, None]
+    den += eps_total
+    return np.divide(s, den[:, None], out=s)
 
 
 def mean_field_M(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
@@ -437,6 +437,8 @@ def transport_distance(a: PointCloud, b: PointCloud, max_points: int = 2000,
         a = _subsample(a, m, rng)
     if b.n != m:
         b = _subsample(b, m, rng)
+    # imported here so that importing flockkit does not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     cost = _phase_cost(a, b)
     rows, cols = linear_sum_assignment(cost)
     w1 = float(cost[rows, cols].mean())

@@ -448,6 +448,25 @@ class TestTransportDistance:
         assert 0.0 <= d <= 1.0
 
 
+class TestFieldRhsBits:
+    """The in-place division has the bits of ``s / (den + eps)[:, None]``."""
+
+    @pytest.mark.parametrize("mode", [Plain(), Regularized(0.1)], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("n, m, path", [(1, 200, "direct"), (4000, 256, "fourier")])
+    def test_matches_the_out_of_place_form(self, n, m, path, mode):
+        from flockkit import _kernels
+        rng = np.random.default_rng(n + m)
+        x, v = rng.uniform(0.0, 10.0, (n, 2)), rng.uniform(-0.5, 0.5, (n, 2))
+        y, u = rng.uniform(0.0, 10.0, (m, 2)), rng.uniform(-0.5, 0.5, (m, 2))
+        field = FieldSpec(spec=GAUSS, mode=mode)
+        den, s = _kernels.alignment_sums(GAUSS, TORUS, x, v, y, u)
+        before = _kernels.path_counts[path]
+        got = kinetic._field_rhs(x, v, y, u, field, TORUS)
+        assert _kernels.path_counts[path] == before + 1
+        ref = s / (den + mode.epsilon * m)[:, None]
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class TestEvolveCloud:
     def test_plain_matches_particle_integrator(self):
         from flockkit import ParticleEnsemble, integrate
