@@ -10,7 +10,9 @@ Identical config plus seed yields byte-identical artifacts.
 
 Subcommands: ``simulate``, ``spectrum``, ``flock-detect``, ``converge``,
 ``stability``, ``picard``, ``entropy``, ``jacobian``, ``emit-plotdata``.
-Runners build their inputs from the config and call the library; the
+Runners build their inputs from the config, call the library and return
+their ``checks`` and ``report``; :func:`run_scenario` alone adds ``scenario``,
+``ok`` (every check passed) and ``config`` to the summary.  The
 ``converge`` runner maps :func:`flockkit.kinetic.mean_field_convergence`
 over its seeds, one process job per seed.  The environment variable
 ``FLOCKKIT_THREADS`` (an integer >= 1) caps those workers.
@@ -296,6 +298,13 @@ def _build_mode(cfg: RunConfig):
     return Plain()
 
 
+def _build_field(cfg: RunConfig):
+    """The configured domain and the kinetic field on it."""
+    domain = _build_domain(cfg)
+    return domain, kinetic.FieldSpec(spec=_build_potential(cfg, domain),
+                                     mode=_build_mode(cfg))
+
+
 def _rng(cfg: RunConfig, component: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([cfg.get("run", "seed"), component])
@@ -446,7 +455,7 @@ def _particle_run(cfg: RunConfig, out: Path):
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners (each returns a summary dict with an "ok" flag)
+# Scenario runners (each returns its "checks" and "report")
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> dict:
@@ -473,8 +482,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> dict:
         report["max_dist_to_manifold"] = max_dist
 
     _write_trajectory_jsonl(out / "trajectory.jsonl", traj)
-    return {"scenario": "simulate", "checks": checks, "flags": flags,
-            "report": report, "ok": all(checks.values())}
+    return {"checks": checks, "flags": flags, "report": report}
 
 
 def _run_flock_detect(cfg: RunConfig, out: Path) -> dict:
@@ -497,8 +505,7 @@ def _run_flock_detect(cfg: RunConfig, out: Path) -> dict:
         "radius": report.radius,
     }
     write_json(out / "flock.json", flock_payload)
-    return {"scenario": "flock-detect", "checks": {"flocking": report.flocking},
-            "report": flock_payload, "ok": report.flocking}
+    return {"checks": {"flocking": report.flocking}, "report": flock_payload}
 
 
 def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
@@ -548,8 +555,7 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
                "asym_residual", "row_sum_err", "detailed_balance_err",
                "galilean_dev", "connected"], rows)
     checks = {k: bool(v) for k, v in checks.items()}
-    return {"scenario": "spectrum", "checks": checks, "report": {"configs": n_cfg},
-            "ok": all(checks.values())}
+    return {"checks": checks, "report": {"configs": n_cfg}}
 
 
 def _run_converge(cfg: RunConfig, out: Path) -> dict:
@@ -586,10 +592,8 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
     medians = {n: float(np.median([r[3] for r in rows if r[0] == n])) for n in n_list}
     decreasing = all(medians[a] > medians[b]
                      for a, b in zip(n_list[:-1], n_list[1:]))
-    return {"scenario": "converge",
-            "checks": {"median_decreasing": decreasing},
-            "report": {"medians": {str(k): v for k, v in medians.items()}},
-            "ok": decreasing}
+    return {"checks": {"median_decreasing": decreasing},
+            "report": {"medians": {str(k): v for k, v in medians.items()}}}
 
 
 def _sampled_cloud(domain, sigma: float, v_cap: float, n: int,
@@ -600,16 +604,14 @@ def _sampled_cloud(domain, sigma: float, v_cap: float, n: int,
 
 
 def _run_stability(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
+    domain, field = _build_field(cfg)
     n = cfg.get("stability", "n")
     rng = _rng(cfg, SEED_SAMPLE)
     if isinstance(domain, Torus):
         cloud_a = _sampled_cloud(domain, cfg.get("stability", "sigma"),
                                  cfg.get("stability", "v_cap"), n, rng)
     else:
-        half = cfg.get("init", "extent") * dynamics.interaction_range(spec)
+        half = cfg.get("init", "extent") * dynamics.interaction_range(field.spec)
         x = rng.uniform(-half, half, size=(n, domain.d))
         v = _uniform_ball(rng, n, domain.d, cfg.get("stability", "v_cap"))
         cloud_a = kinetic.PointCloud(domain, x, v)
@@ -628,16 +630,12 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
     write_csv(out / "stability.csv", ["t", "W_hat", "ratio", "log_bound", "ok"],
               [[r["t"], r["W_hat"], r["ratio"], r["log_bound"], r["ok"]]
                for r in report.rows])
-    return {"scenario": "stability",
-            "checks": {"growth_bound": report.ok},
-            "report": {"c": report.c, "initial_distance": report.initial_distance},
-            "ok": report.ok}
+    return {"checks": {"growth_bound": report.ok},
+            "report": {"c": report.c, "initial_distance": report.initial_distance}}
 
 
 def _run_picard(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
+    domain, field = _build_field(cfg)
     rng = _rng(cfg, SEED_SAMPLE)
     cloud0 = _sampled_cloud(domain, cfg.get("picard", "sigma"),
                             cfg.get("picard", "v_cap"), cfg.get("picard", "n"), rng)
@@ -667,8 +665,7 @@ def _run_picard(cfg: RunConfig, out: Path) -> dict:
     ratio_ok = (not result.ratios) or result.ratios[-1] <= result.bound + 0.05
     checks = {"converged": result.converged, "ratio_bound": bool(ratio_ok),
               "fixed_point_matches_direct": max_gap <= 1e-3}
-    return {"scenario": "picard", "checks": checks, "report": payload,
-            "ok": all(checks.values())}
+    return {"checks": checks, "report": payload}
 
 
 def _entropy_curve(cfg: RunConfig, section: str, domain, field):
@@ -686,9 +683,7 @@ def _entropy_curve(cfg: RunConfig, section: str, domain, field):
 
 
 def _run_entropy(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
+    domain, field = _build_field(cfg)
     curve = _entropy_curve(cfg, "entropy", domain, field)
     sampler = density.torus_gaussian_sampler(domain, cfg.get("entropy", "sigma"),
                                              cfg.get("entropy", "v_cap"))
@@ -707,15 +702,11 @@ def _run_entropy(cfg: RunConfig, out: Path) -> dict:
         slope = float(np.polyfit([r.t for r in rows], [r.H_knn for r in rows], 1)[0])
         checks["knn_slope_matches_transport_rate"] = bool(
             abs(slope - target) <= 0.05 * abs(target))
-    return {"scenario": "entropy", "checks": checks,
-            "report": {"knn_slope": slope, "transport_rate": target},
-            "ok": all(checks.values())}
+    return {"checks": checks, "report": {"knn_slope": slope, "transport_rate": target}}
 
 
 def _run_jacobian(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    field = kinetic.FieldSpec(spec=spec, mode=_build_mode(cfg))
+    domain, field = _build_field(cfg)
     curve = _entropy_curve(cfg, "jacobian", domain, field)
     sampler = density.torus_gaussian_sampler(domain, cfg.get("jacobian", "sigma"),
                                              cfg.get("jacobian", "v_cap"))
@@ -731,9 +722,8 @@ def _run_jacobian(cfg: RunConfig, out: Path) -> dict:
         rows.append([i, rep.t, rep.det_fd, rep.det_theory, rep.rel_err])
     write_csv(out / "jacobian.csv", ["point", "t", "det_fd", "det_theory", "rel_err"],
               rows)
-    ok = worst <= 1e-3
-    return {"scenario": "jacobian", "checks": {"determinant_matches": bool(ok)},
-            "report": {"max_rel_err": worst}, "ok": bool(ok)}
+    return {"checks": {"determinant_matches": bool(worst <= 1e-3)},
+            "report": {"max_rel_err": worst}}
 
 
 _RUNNERS = {
@@ -749,12 +739,14 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute the configured scenario, writing artifacts and a summary."""
+    """Execute the configured scenario, writing artifacts and a summary: the
+    runner's keys plus ``scenario``, ``ok`` (every check passed) and ``config``."""
     scenario = cfg.get("run", "scenario")
     out = Path(out_dir if out_dir is not None else cfg.get("run", "out"))
     out.mkdir(parents=True, exist_ok=True)
     summary = _RUNNERS[scenario](cfg, out)
-    summary["config"] = cfg.sections
+    summary.update(scenario=scenario, ok=all(summary["checks"].values()),
+                   config=cfg.sections)
     write_json(out / "summary.json", summary)
     return summary
 
@@ -806,16 +798,16 @@ def emit_plotdata(artifact_dir: str | Path) -> list[Path]:
 # Entry point
 
 
+_FLAGS = ("seed", "out", "save_every", "spectral_every")
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace, scenario: str) -> None:
+    """Flag values replace their ``[run]`` keys, parsed and checked like config text."""
     cfg.sections["run"]["scenario"] = scenario
-    if args.seed is not None:
-        cfg.sections["run"]["seed"] = args.seed
-    if args.out is not None:
-        cfg.sections["run"]["out"] = args.out
-    if args.save_every is not None:
-        cfg.sections["run"]["save_every"] = args.save_every
-    if args.spectral_every is not None:
-        cfg.sections["run"]["spectral_every"] = args.spectral_every
+    for key in _FLAGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            cfg.sections["run"][key] = _convert("run", key, raw, SCHEMA["run"][key])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -825,10 +817,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", required=True, help="path to a run config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--save-every", type=int, default=None, dest="save_every")
-        p.add_argument("--spectral-every", type=int, default=None, dest="spectral_every")
+        for key in _FLAGS:
+            p.add_argument("--" + key.replace("_", "-"))
     p = sub.add_parser("emit-plotdata", help="collate plot-ready CSVs from artifacts")
     p.add_argument("dir", help="artifact directory of a previous run")
 

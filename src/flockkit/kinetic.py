@@ -340,9 +340,9 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     ``h = m/(m + epsilon)`` (trapezoid rule) is returned, which the
     volume-contraction diagnostics consume.  Positions are never wrapped;
     interaction evaluations use minimum images throughout.  The span from
-    ``t_start`` to ``t_final`` and every record time (within that span) must
-    lie on the ``dt`` step grid; otherwise ``InputError`` is raised before
-    any step is taken.
+    ``t_start`` to ``t_final`` must lie within the curve's time span, and it
+    and every record time (within that span) must lie on the ``dt`` step
+    grid; otherwise ``InputError`` is raised before any step is taken.
     """
     _validate_field(field, curve.domain)
     x, v = _as_batch(w0)
@@ -354,10 +354,9 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     # the step-grid rule in time: a billionth of a step or of the span
     tol = _GRID_RTOL * max(dt, abs(t_final - t0))
     span_lo, span_hi = float(curve.times[0]), float(curve.times[-1])
-    if not (span_lo - tol <= t_final <= span_hi + tol):
-        raise InputError(
-            f"t_final {t_final} outside curve span [{span_lo}, {span_hi}]"
-        )
+    for name, t in (("t_start", t0), ("t_final", t_final)):
+        if not (span_lo - tol <= t <= span_hi + tol):
+            raise InputError(f"{name} {t} outside curve span [{span_lo}, {span_hi}]")
 
     extra = [] if record_times is None else [float(s) for s in record_times]
     record = sorted(set([t0, t_final] + extra), reverse=backward)

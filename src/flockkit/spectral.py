@@ -138,19 +138,6 @@ class BNormReport:
         return self.lhs <= self.rhs + 1e-12
 
 
-def _segment_min_interaction(q_t: np.ndarray, q_0: np.ndarray, spec: PotentialSpec,
-                             n_s: int) -> float:
-    """Minimum interaction along straight segments between all pair displacements."""
-    free = FreeSpace(q_t.shape[1])
-    d0 = displacement_table(free, q_0, q_0)
-    d1 = displacement_table(free, q_t, q_t)
-    best = np.inf
-    for s in np.linspace(0.0, 1.0, n_s):
-        vals = spec.values((1.0 - s) * d0 + s * d1)
-        best = min(best, float(vals.min()))
-    return best
-
-
 def b_norm_check(q_t: np.ndarray, q_0: np.ndarray, spec: PotentialSpec,
                  n_s: int = 128) -> BNormReport:
     """Check the operator-norm bound on the drift of the weight matrix.
@@ -169,23 +156,25 @@ def b_norm_check(q_t: np.ndarray, q_0: np.ndarray, spec: PotentialSpec,
         raise InputError(f"configuration shapes differ: {q_t.shape} vs {q_0.shape}")
     n, d = q_t.shape
     free = FreeSpace(d)
-
-    u_t = kernel_table(spec, free, q_t)
-    u_0 = kernel_table(spec, free, q_0)
+    # one pair table per configuration feeds the weights, the shift and eta
+    d0 = displacement_table(free, q_0, q_0)
+    d1 = displacement_table(free, q_t, q_t)
+    u_0 = spec.values(d0)
+    u_t = spec.values(d1)
     den_t = u_t.sum(axis=1)
     den_0 = u_0.sum(axis=1)
     if min(float(den_t.min()), float(den_0.min())) <= 0.0:
         raise NumericalError("zero interaction row mass while forming weight matrices")
     b = u_t / den_t[:, None] - u_0 / den_0[:, None]
     lhs = operator_norm(b)
-
-    d0 = displacement_table(free, q_0, q_0)
-    d1 = displacement_table(free, q_t, q_t)
     max_shift = float(np.max(np.sqrt(np.sum(np.square(d1 - d0), axis=-1))))
 
-    eta_grid = _segment_min_interaction(q_t, q_0, spec, n_s)
+    # minimum interaction along the straight segments between pair displacements
+    eta_grid = np.inf
+    for s in np.linspace(0.0, 1.0, n_s):
+        eta_grid = min(eta_grid, float(spec.values((1.0 - s) * d0 + s * d1).min()))
     if spec.monotone_radial:
-        eta = min(float(spec.values(d0).min()), float(spec.values(d1).min()))
+        eta = min(float(u_0.min()), float(u_t.min()))
     else:
         eta = 0.0
 

@@ -45,6 +45,15 @@ FLOCKY = MINIMAL.replace(
     "kind = perturbed_flock\nspacing = 0.55\nperturbation = 0.01",
 )
 
+ENVELOPE = {"scenario", "checks", "flags", "report", "ok", "config"}
+
+
+def assert_envelope(summary: dict, scenario: str) -> None:
+    """The summary keys every runner shares, filled in by run_scenario."""
+    assert set(summary) <= ENVELOPE
+    assert summary["scenario"] == scenario
+    assert summary["ok"] == all(summary["checks"].values())
+
 
 class TestConfigParsing:
     def test_minimal_config_gets_defaults(self):
@@ -124,6 +133,16 @@ class TestRunScenario:
         assert (tmp_path / "metrics.csv").exists()
         loaded = json.loads((tmp_path / "summary.json").read_text())
         assert loaded["checks"]["velocity_ball"] is True
+        assert_envelope(summary, "simulate")
+        assert_envelope(loaded, "simulate")
+
+    def test_spectrum_runner_checks_and_envelope(self, tmp_path):
+        text = MINIMAL.replace("scenario = simulate", "scenario = spectrum")
+        summary = run_scenario(parse_config_text(text + "\n[spectrum]\nconfigs = 3\nn = 6\n"),
+                               tmp_path)
+        assert_envelope(summary, "spectrum")
+        assert summary["ok"], summary["checks"]
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 4
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = parse_config_text(MINIMAL)
@@ -187,7 +206,7 @@ class TestEmitPlotdata:
         text = FLOCKY.replace("scenario = simulate", "scenario = flock-detect")
         text = text.replace("t = 0.5", "t = 2.0")
         cfg = parse_config_text(text)
-        run_scenario(cfg, tmp_path)
+        assert_envelope(run_scenario(cfg, tmp_path), "flock-detect")
         produced = emit_plotdata(tmp_path)
         assert (tmp_path / "plot" / "decay.csv").exists()
         header = (tmp_path / "plot" / "decay.csv").read_text().splitlines()[0]
@@ -224,6 +243,25 @@ class TestMain:
               "--out", str(tmp_path / "s9")])
         summary = json.loads((tmp_path / "s9" / "summary.json").read_text())
         assert summary["config"]["run"]["seed"] == 9
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "run.seed must be nonnegative"),
+        ("--spectral-every", "-1", "run.spectral_every must be nonnegative"),
+        ("--save-every", "0", "run.save_every must be positive"),
+        ("--save-every", "ten", "run.save_every: cannot parse 'ten' as int"),
+    ], ids=["negative-seed", "negative-spectral-every", "zero-save-every", "text-save-every"])
+    def test_flag_values_pass_the_config_schema(self, tmp_path, capsys, flag, value,
+                                                message):
+        # flags used to skip the schema: --seed -1 ended in a numpy traceback,
+        # and --spectral-every -1 ran the spectrum on every frame
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        code = main(["simulate", "--config", str(cfg_path), flag, value,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "run").exists()
 
     def test_emit_plotdata_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -325,10 +363,12 @@ class TestKineticRunners:
         summary = run_scenario(parse_config_text(text), tmp_path)
         assert summary["ok"], summary["checks"]
         assert (tmp_path / artifact).exists()
+        assert_envelope(summary, scenario)
 
     def test_entropy_runner_csv_and_rate(self, tmp_path):
         text = SMALL_KINETIC.replace("scenario = stability", "scenario = entropy")
         summary = run_scenario(parse_config_text(text), tmp_path)
+        assert_envelope(summary, "entropy")
         lines = (tmp_path / "entropy.csv").read_text().splitlines()
         assert lines[0] == "t,H_transport,H_knn,gap,mean_overlap"
         # with a single probe time the slope check degrades to a report
@@ -341,6 +381,7 @@ class TestKineticRunners:
                             .replace("t_list = 0.1", f"t_list = {t_list}"))
         code = main(["entropy", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert_envelope(summary, "entropy")
         if t_list == "0.1":  # no slope to fit: reported, not checked
             assert code == 0 and summary["checks"] == {} and summary["ok"]
             assert math.isnan(summary["report"]["knn_slope"])
@@ -427,8 +468,9 @@ class TestConvergeRunner:
             f"{r['N']},{r['seed']},{r['t']!r},{r['W_hat']!r}\n" for r in rows)
 
         monkeypatch.setenv("FLOCKKIT_THREADS", threads)
-        run_scenario(parse_config_text(SMALL_CONVERGE), tmp_path)
+        summary = run_scenario(parse_config_text(SMALL_CONVERGE), tmp_path)
         assert (tmp_path / "convergence.csv").read_text() == expected
+        assert_envelope(summary, "converge")
 
     def test_pool_failure_warns_and_serial_run_matches(self, tmp_path, monkeypatch):
         import flockkit.cli as cli_mod

@@ -251,6 +251,18 @@ class TestFlow:
         path = flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=0.1 + 0.2, dt=0.1)
         assert path.times[-1] == 0.1 + 0.2 > 0.3
 
+    def test_start_time_outside_the_span_rejected_before_stepping(self, monkeypatch):
+        # t_start = -3 on a curve over [0, 0.1] used to run 310 steps driven by
+        # the first cloud; the start obeys the same span rule as the final time
+        import flockkit.kinetic as kinetic
+        cloud = torus_cloud(5, seed=12)
+        curve = evolve_cloud(cloud, PLAIN_FIELD, T=0.1, dt=0.01)
+        monkeypatch.setattr(kinetic, "_field_rhs", None)  # any step would fail
+        for t_start in (-3.0, 0.5):
+            with pytest.raises(InputError, match=rf"t_start {t_start} outside curve span"):
+                flow_characteristics(cloud, curve, PLAIN_FIELD, t_final=0.1, dt=0.01,
+                                     t_start=t_start)
+
     def test_record_time_outside_the_span_rejected_before_stepping(self, monkeypatch):
         import flockkit.kinetic as kinetic
         cloud = torus_cloud(5, seed=12)

@@ -17,7 +17,6 @@ from flockkit import (
     spectrum,
     velocity_projector,
 )
-from flockkit.spectral import _segment_min_interaction
 
 
 def positions_state(q):
@@ -259,7 +258,7 @@ class TestBNorm:
             q0 = rng.uniform(0, 2, (6, 2))
             qt = q0 + 0.3 * rng.standard_normal((6, 2))
             report = b_norm_check(qt, q0, spec)
-            dense = _segment_min_interaction(qt, q0, spec, 1000)
+            dense = b_norm_check(qt, q0, spec, n_s=1000).eta_grid
             assert dense >= report.eta - 1e-14
             assert report.eta_grid >= report.eta - 1e-14
 
