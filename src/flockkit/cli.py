@@ -54,7 +54,7 @@ SEED_PERTURB = 3
 
 
 # ---------------------------------------------------------------------------
-# Config schema, parsing, serialization
+# Config schema and parsing
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,13 @@ class _Key:
     positive: bool = False
     nonneg: bool = False
 
+
+# keys shared by sections: the kinetic scenarios' reference density (see
+# _reference_density) and the evolved reference cloud of entropy and jacobian
+_DENSITY = {"sigma": _Key("float", 0.3, positive=True),
+            "v_cap": _Key("float", 0.95, positive=True)}
+_CURVE = {"curve_n": _Key("int", 200, positive=True),
+          "curve_dt": _Key("float", 0.005, positive=True)}
 
 SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
@@ -117,8 +124,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "n_ref": _Key("int", 6400, positive=True),
         "t_eval": _Key("float", 1.0, positive=True),
         "seeds": _Key("int", 5, positive=True),
-        "sigma": _Key("float", 0.3, positive=True),
-        "v_cap": _Key("float", 0.95, positive=True),
+        **_DENSITY,
         "dt": _Key("float", 0.1, positive=True),
     },
     "stability": {
@@ -127,8 +133,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "dt": _Key("float", 0.005, positive=True),
         "perturbation": _Key("float", 0.05, positive=True),
         "n_checks": _Key("int", 8, positive=True),
-        "sigma": _Key("float", 0.3, positive=True),
-        "v_cap": _Key("float", 0.95, positive=True),
+        **_DENSITY,
     },
     "picard": {
         "n": _Key("int", 200, positive=True),
@@ -136,27 +141,21 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "grid_k": _Key("int", 250, positive=True),
         "iters": _Key("int", 10, positive=True),
         "alpha_factor": _Key("float", 2.0, positive=True),
-        "sigma": _Key("float", 0.3, positive=True),
-        "v_cap": _Key("float", 0.95, positive=True),
+        **_DENSITY,
     },
     "entropy": {
         "m": _Key("int", 10000, positive=True),
         "t_list": _Key("float_list", (0.25, 0.5, 0.75, 1.0)),
-        "sigma": _Key("float", 0.3, positive=True),
-        "v_cap": _Key("float", 0.95, positive=True),
+        **_DENSITY,
         "dt": _Key("float", 0.0125, positive=True),
-        "curve_n": _Key("int", 200, positive=True),
-        "curve_dt": _Key("float", 0.005, positive=True),
+        **_CURVE,
     },
     "jacobian": {
         "points": _Key("int", 20, positive=True),
         "t": _Key("float", 1.0, positive=True),
         "h": _Key("float", 1e-4, positive=True),
         "dt": _Key("float", 0.001, positive=True),
-        "curve_n": _Key("int", 200, positive=True),
-        "curve_dt": _Key("float", 0.005, positive=True),
-        "sigma": _Key("float", 0.3, positive=True),
-        "v_cap": _Key("float", 0.95, positive=True),
+        **_CURVE, **_DENSITY,
     },
 }
 
@@ -204,8 +203,8 @@ def parse_config_text(text: str) -> RunConfig:
     raw: dict[str, dict[str, str]] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
@@ -244,28 +243,6 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(path.read_text())
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Config text that parses back to an equal configuration."""
-    lines = []
-    for section in SCHEMA:
-        lines.append(f"[{section}]")
-        for key, spec in SCHEMA[section].items():
-            value = cfg.sections[section][key]
-            if value is None:
-                continue
-            if spec.typ in ("int_list", "float_list"):
-                text = ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 
@@ -292,17 +269,13 @@ def _build_potential(cfg: RunConfig, domain):
     return GaussianPeriodized(d=d, width=rng_param, period=domain.size, n_max=n_max)
 
 
-def _build_mode(cfg: RunConfig):
-    if cfg.get("dynamics", "mode") == "regularized":
-        return Regularized(epsilon=cfg.get("dynamics", "epsilon"))
-    return Plain()
-
-
 def _build_field(cfg: RunConfig):
-    """The configured domain and the kinetic field on it."""
+    """The configured domain, and the interaction and mode on it."""
     domain = _build_domain(cfg)
-    return domain, kinetic.FieldSpec(spec=_build_potential(cfg, domain),
-                                     mode=_build_mode(cfg))
+    mode = Plain()
+    if cfg.get("dynamics", "mode") == "regularized":
+        mode = Regularized(epsilon=cfg.get("dynamics", "epsilon"))
+    return domain, kinetic.FieldSpec(spec=_build_potential(cfg, domain), mode=mode)
 
 
 def _rng(cfg: RunConfig, component: int) -> np.random.Generator:
@@ -426,9 +399,8 @@ def _particle_run(cfg: RunConfig, out: Path):
 
     Returns the initial state, the interaction, the step and the trajectory.
     """
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    mode = _build_mode(cfg)
+    domain, field = _build_field(cfg)
+    spec, mode = field.spec, field.mode
     w0 = build_initial_state(cfg, domain, spec)
     dt = _resolve_dt(cfg, spec, w0)
     traj = integrate(w0, spec, mode, T=cfg.get("dynamics", "t"), dt=dt,
@@ -509,9 +481,8 @@ def _run_flock_detect(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
-    domain = _build_domain(cfg)
-    spec = _build_potential(cfg, domain)
-    mode = _build_mode(cfg)
+    domain, field = _build_field(cfg)
+    spec, mode = field.spec, field.mode
     rng = _rng(cfg, SEED_PROBE)
     n_cfg = cfg.get("spectrum", "configs")
     n = cfg.get("spectrum", "n")
@@ -568,8 +539,7 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
     seeds = [cfg.get("run", "seed") + k for k in range(cfg.get("converge", "seeds"))]
     # top-level callables bound by partial, so one seed's experiment pickles
     # into a worker process
-    sampler = functools.partial(_sampled_cloud, domain, cfg.get("converge", "sigma"),
-                                cfg.get("converge", "v_cap"))
+    sampler = functools.partial(_sampled_cloud, domain, *_reference_density(cfg, "converge"))
     experiment = functools.partial(
         kinetic.mean_field_convergence, sampler, n_list, cfg.get("converge", "n_ref"),
         cfg.get("converge", "t_eval"), field, dt=cfg.get("converge", "dt"))
@@ -596,6 +566,12 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
             "report": {"medians": {str(k): v for k, v in medians.items()}}}
 
 
+def _reference_density(cfg: RunConfig, section: str) -> tuple[float, float]:
+    """``(sigma, v_cap)`` of the section's reference density: uniform positions,
+    velocities from N(0, sigma^2 I) truncated to the ball of radius ``v_cap``."""
+    return cfg.get(section, "sigma"), cfg.get(section, "v_cap")
+
+
 def _sampled_cloud(domain, sigma: float, v_cap: float, n: int,
                    rng: np.random.Generator) -> kinetic.PointCloud:
     sampler = density.torus_gaussian_sampler(domain, sigma, v_cap)
@@ -606,14 +582,14 @@ def _sampled_cloud(domain, sigma: float, v_cap: float, n: int,
 def _run_stability(cfg: RunConfig, out: Path) -> dict:
     domain, field = _build_field(cfg)
     n = cfg.get("stability", "n")
+    sigma, v_cap = _reference_density(cfg, "stability")
     rng = _rng(cfg, SEED_SAMPLE)
     if isinstance(domain, Torus):
-        cloud_a = _sampled_cloud(domain, cfg.get("stability", "sigma"),
-                                 cfg.get("stability", "v_cap"), n, rng)
+        cloud_a = _sampled_cloud(domain, sigma, v_cap, n, rng)
     else:
         half = cfg.get("init", "extent") * dynamics.interaction_range(field.spec)
         x = rng.uniform(-half, half, size=(n, domain.d))
-        v = _uniform_ball(rng, n, domain.d, cfg.get("stability", "v_cap"))
+        v = _uniform_ball(rng, n, domain.d, v_cap)
         cloud_a = kinetic.PointCloud(domain, x, v)
 
     prng = _rng(cfg, SEED_PERTURB)
@@ -637,8 +613,8 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
 def _run_picard(cfg: RunConfig, out: Path) -> dict:
     domain, field = _build_field(cfg)
     rng = _rng(cfg, SEED_SAMPLE)
-    cloud0 = _sampled_cloud(domain, cfg.get("picard", "sigma"),
-                            cfg.get("picard", "v_cap"), cfg.get("picard", "n"), rng)
+    cloud0 = _sampled_cloud(domain, *_reference_density(cfg, "picard"),
+                            cfg.get("picard", "n"), rng)
     T = cfg.get("picard", "t")
     grid_k = cfg.get("picard", "grid_k")
     consts = kinetic.field_constants(field, domain)
@@ -668,13 +644,10 @@ def _run_picard(cfg: RunConfig, out: Path) -> dict:
     return {"checks": checks, "report": payload}
 
 
-def _entropy_curve(cfg: RunConfig, section: str, domain, field):
-    rng = _rng(cfg, SEED_SAMPLE)
-    curve_cloud = _sampled_cloud(domain, cfg.get(section, "sigma"),
-                                 cfg.get(section, "v_cap"),
-                                 cfg.get(section, "curve_n"), rng)
-    horizon = cfg.get(section, "t") if section == "jacobian" \
-        else max(cfg.get(section, "t_list"))
+def _entropy_curve(cfg: RunConfig, section: str, domain, field, horizon: float):
+    """A cloud from the section's reference density, evolved up to ``horizon``."""
+    curve_cloud = _sampled_cloud(domain, *_reference_density(cfg, section),
+                                 cfg.get(section, "curve_n"), _rng(cfg, SEED_SAMPLE))
     curve_dt = cfg.get(section, "curve_dt")
     # every tenth step; evolve_cloud rejects a horizon off the curve_dt grid
     save = [k * (10.0 * curve_dt) for k in range(round(horizon / curve_dt) // 10 + 1)]
@@ -684,11 +657,11 @@ def _entropy_curve(cfg: RunConfig, section: str, domain, field):
 
 def _run_entropy(cfg: RunConfig, out: Path) -> dict:
     domain, field = _build_field(cfg)
-    curve = _entropy_curve(cfg, "entropy", domain, field)
-    sampler = density.torus_gaussian_sampler(domain, cfg.get("entropy", "sigma"),
-                                             cfg.get("entropy", "v_cap"))
+    t_list = list(cfg.get("entropy", "t_list"))
+    curve = _entropy_curve(cfg, "entropy", domain, field, max(t_list))
+    sampler = density.torus_gaussian_sampler(domain, *_reference_density(cfg, "entropy"))
     rows = density.entropy_decay_check(
-        sampler, curve, field, t_list=list(cfg.get("entropy", "t_list")),
+        sampler, curve, field, t_list=t_list,
         M=cfg.get("entropy", "m"), dt=cfg.get("entropy", "dt"),
         rng=_rng(cfg, SEED_PROBE))
     write_csv(out / "entropy.csv",
@@ -707,11 +680,10 @@ def _run_entropy(cfg: RunConfig, out: Path) -> dict:
 
 def _run_jacobian(cfg: RunConfig, out: Path) -> dict:
     domain, field = _build_field(cfg)
-    curve = _entropy_curve(cfg, "jacobian", domain, field)
-    sampler = density.torus_gaussian_sampler(domain, cfg.get("jacobian", "sigma"),
-                                             cfg.get("jacobian", "v_cap"))
-    w0, _ = sampler(cfg.get("jacobian", "points"), _rng(cfg, SEED_PROBE))
     t = cfg.get("jacobian", "t")
+    curve = _entropy_curve(cfg, "jacobian", domain, field, t)
+    sampler = density.torus_gaussian_sampler(domain, *_reference_density(cfg, "jacobian"))
+    w0, _ = sampler(cfg.get("jacobian", "points"), _rng(cfg, SEED_PROBE))
     rows = []
     worst = 0.0
     for i in range(w0.shape[0]):

@@ -136,7 +136,7 @@ def _squared_norm(delta: np.ndarray) -> np.ndarray:
 
 
 def wrap_positions(domain: Domain, q: np.ndarray) -> np.ndarray:
-    """Map positions into the fundamental cell ``[0, size)`` on a torus; identity otherwise."""
+    """Map positions into the closed cell ``[0, size]`` on a torus; identity otherwise."""
     if isinstance(domain, Torus):
         return np.mod(q, domain.size)
     return q

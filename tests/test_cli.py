@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from flockkit.cli import (
     main,
     parse_config_text,
     run_scenario,
-    serialize_config,
 )
 
 MINIMAL = """
@@ -92,11 +92,25 @@ class TestConfigParsing:
         bad = MINIMAL.replace("n = 8", "n = eight")
         with pytest.raises(ConfigError, match="dynamics.n"):
             parse_config_text(bad)
+        with pytest.raises(ConfigError, match=r"^run\.moments: cannot parse 'yes' as bool$"):
+            parse_config_text(MINIMAL.replace("save_every = 5", "save_every = 5\nmoments = yes"))
 
-    def test_round_trip(self):
-        cfg = parse_config_text(MINIMAL)
-        again = parse_config_text(serialize_config(cfg))
-        assert again == cfg
+    @pytest.mark.parametrize("raw, value", [("false", False), ("FALSE", False),
+                                            ("true", True)])
+    def test_bool_key_parses_to_a_bool(self, raw, value):
+        cfg = parse_config_text(MINIMAL.replace("save_every = 5",
+                                                f"save_every = 5\nmoments = {raw}"))
+        assert cfg.get("run", "moments") is value
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(block)
+        assert cfg.get("domain", "kind") == "torus"
+        assert cfg.get("potential", "kind") == "gaussian"
+        assert cfg.get("dynamics", "mode") == "plain"
+        assert cfg.get("dynamics", "dt") == 0.001
+        assert cfg.get("init", "kind") == "uniform"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -136,13 +150,23 @@ class TestRunScenario:
         assert_envelope(summary, "simulate")
         assert_envelope(loaded, "simulate")
 
-    def test_spectrum_runner_checks_and_envelope(self, tmp_path):
-        text = MINIMAL.replace("scenario = simulate", "scenario = spectrum")
+    @pytest.mark.parametrize("mode", ["plain", "regularized"])
+    def test_spectrum_runner_checks_and_envelope(self, tmp_path, mode):
+        text = MINIMAL.replace("scenario = simulate", "scenario = spectrum") \
+            .replace("mode = plain", f"mode = {mode}")
         summary = run_scenario(parse_config_text(text + "\n[spectrum]\nconfigs = 3\nn = 6\n"),
                                tmp_path)
         assert_envelope(summary, "spectrum")
+        assert set(summary["checks"]) == {"row_sums", "detailed_balance", "real_spectrum",
+                                          "galilean_invariance", "gap_connectivity"}
         assert summary["ok"], summary["checks"]
-        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 4
+        from flockkit.cli import _read_columns
+        row_err = [err for (err,) in _read_columns(tmp_path / "spectrum.csv", "row_sum_err")]
+        assert len(row_err) == 3
+        if mode == "regularized":  # substochastic rows: the row-sum check is exempt
+            assert row_err == [0.0, 0.0, 0.0]
+        else:
+            assert max(row_err) <= 1e-12
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = parse_config_text(MINIMAL)
