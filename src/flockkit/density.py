@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammainc
 
 from .dynamics import Trajectory
 from .errors import ConfigError, InputError, NumericalError
@@ -115,6 +113,9 @@ def knn_entropy(points: np.ndarray, k: int = 4,
         wrapped[wrapped == boxsize[periodic]] = 0.0
         pts[:, periodic] = wrapped
 
+    # imported here so that importing flockkit does not load scipy.spatial or scipy.special
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
     # the point itself is its own nearest neighbour, at distance zero
     radii, _ = cKDTree(pts, boxsize=boxsize).query(pts, k=[k + 1])
     radii = np.clip(radii[:, 0], 1e-300, None)
@@ -186,6 +187,8 @@ def torus_gaussian_sampler(domain: Torus, sigma: float, v_cap: float = 0.95):
         raise ConfigError("reference sampler is defined on a torus domain")
     if not 0.0 < v_cap < 1.0:
         raise ConfigError(f"velocity cap must sit inside the unit ball, got {v_cap}")
+    # imported here so that importing flockkit does not load scipy.special
+    from scipy.special import gammainc
     d = domain.d
     # mass of N(0, sigma^2 I_d) inside the cap ball, via the chi-square law
     mass = float(gammainc(d / 2.0, v_cap**2 / (2.0 * sigma**2)))
@@ -220,6 +223,25 @@ class MomentReport:
     max_second_moment_increase: float
 
 
+def _cumulative_simpson(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """scipy's ``cumulative_simpson(y, x=t, axis=0, initial=0.0)`` bit for bit, summed from
+    a leading 0 (scipy's ``+ initial``); two frames take the trapezoid."""
+    h = np.diff(t).reshape((-1,) + (1,) * (y.ndim - 1))
+    if len(t) < 3:
+        parts = h * (y[1:] + y[:-1]) / 2.0
+    else:
+        def left(y, h):  # over each [t_k, t_k+1], the parabola through frames k..k+2
+            x21, x32 = h[:-1], h[1:]
+            x21_x31, x21_x32 = x21 / (x21 + x32), x21 / x32
+            c = x21_x31 * x21_x32
+            return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + c + x21_x31) * y[1:-1] + (-c) * y[2:])
+        # h1 from the left on even intervals, h2 from the right on odd ones and the last
+        h1, h2 = left(y, h), left(y[::-1], h[::-1])[::-1]
+        parts = np.empty((len(t) - 1,) + y.shape[1:])
+        parts[:-1:2], parts[1::2], parts[-1] = h1[::2], h2[::2], h2[-1]
+    return np.cumsum(np.concatenate([np.zeros_like(parts[:1]), parts]), axis=0)
+
+
 def moment_diagnostics(traj: Trajectory) -> MomentReport:
     """Check the mean-position identity and the monotone second moment.
 
@@ -234,9 +256,7 @@ def moment_diagnostics(traj: Trajectory) -> MomentReport:
     second = np.sum(np.square(traj.p), axis=(1, 2)) / traj.p.shape[1]
 
     if len(times) >= 2:
-        # imported here so that importing flockkit does not load scipy.integrate
-        from scipy.integrate import cumulative_simpson
-        integral = cumulative_simpson(mean_v, x=times, axis=0, initial=0.0)
+        integral = _cumulative_simpson(mean_v, times)
         ma1_err = float(np.max(np.abs(mean_x - mean_x[0] - integral)))
         increases = np.diff(second)
         max_inc = float(np.max(increases)) if increases.size else 0.0

@@ -16,6 +16,7 @@ and normalized so the free-space integral equals one:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -159,6 +160,14 @@ def _radial_max(profile, r_lo: float, r_hi: float, n: int = 20001) -> float:
     return float(np.max(profile(r)))
 
 
+def _unit_mass(name: str, value: float, constant) -> float:
+    """``constant()``, or an InputError naming the parameter that leaves it zero or not finite."""
+    with contextlib.suppress(ArithmeticError):  # float arithmetic out of range
+        if 0.0 < (c := constant()) < math.inf:
+            return c
+    raise InputError(f"{name} = {value!r} makes the unit-mass normalizer zero or not finite")
+
+
 def _is_canonical_offset(off: np.ndarray) -> bool:
     """True for exactly one of every ``{off, -off}`` pair of nonzero offsets."""
     for component in off:
@@ -184,11 +193,13 @@ class CompactBump:
     def __post_init__(self) -> None:
         if self.d < 1 or not self.radius > 0.0:
             raise InputError("CompactBump requires d >= 1 and radius > 0")
+        self.normalizer  # a radius that leaves no finite normalizer fails here
 
     @cached_property
     def normalizer(self) -> float:
         # integral of (1 - r/R) over B_R is area(S^{d-1}) * R^d / (d(d+1))
-        return self.d * (self.d + 1) / (unit_sphere_area(self.d) * self.radius**self.d)
+        return _unit_mass("radius", self.radius, lambda: self.d * (self.d + 1) / (
+            unit_sphere_area(self.d) * self.radius**self.d))
 
     @property
     def u0(self) -> float:
@@ -242,6 +253,7 @@ class LogGradBounded:
             raise InputError("LogGradBounded requires d >= 1 and decay > 0")
         if self.period is not None and not self.period > 0.0:
             raise InputError("period must be positive when given")
+        self.normalizer  # a decay that leaves no finite normalizer fails here
 
     @property
     def log_grad_bound(self) -> float:
@@ -249,15 +261,13 @@ class LogGradBounded:
 
     @cached_property
     def normalizer(self) -> float:
-        # imported here so that importing flockkit does not load scipy.integrate
-        from scipy.integrate import quad
-        area = unit_sphere_area(self.d)
-        integral, _ = quad(
-            lambda r: math.exp(-math.sqrt(1.0 + r * r) / self.decay) * r ** (self.d - 1),
-            0.0,
-            np.inf,
-        )
-        return 1.0 / (area * integral)
+        # imported here so that importing flockkit does not load scipy.special
+        from scipy.special import kv
+        # s = sqrt(1 + r^2), DLMF 10.32.8 and 10.29.4: the integral over r > 0 of
+        # exp(-sqrt(1 + r^2)/l) r^(d-1) is Gamma(d/2) (2l)^((d-1)/2) K_{(d+1)/2}(1/l) / sqrt(pi)
+        return _unit_mass("decay", self.decay, lambda: 1.0 / (unit_sphere_area(self.d) * (
+            math.gamma(self.d / 2.0) * (2.0 * self.decay) ** ((self.d - 1) / 2.0)
+            * float(kv((self.d + 1) / 2.0, 1.0 / self.decay)) / math.sqrt(math.pi))))
 
     @cached_property
     def _n_images(self) -> int:
@@ -480,7 +490,7 @@ class GaussianPeriodized:
     def values(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
         # one pass over all coordinate planes, then their product in coordinate order
-        thetas = self._theta(np.moveaxis(delta, -1, 0))
+        thetas = self._theta(delta.transpose(-1, *range(delta.ndim - 1)))
         out = thetas[0]
         for c in range(1, self.d):
             out = out * thetas[c]

@@ -287,6 +287,20 @@ class TestMain:
         assert record == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("kind,name", [("bump", "radius"), ("loggrad", "decay")])
+    def test_degenerate_range_is_a_failure_record(self, tmp_path, capsys, kind, name, value):
+        # the normalizer used to end in a ZeroDivisionError or OverflowError
+        # traceback (exit 1), or in a run over a meaningless constant
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("kind = bump\nrange = 1.0",
+                                            f"kind = {kind}\nrange = {value}"))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InputError"
+        assert record["message"].startswith(f"{name} = {float(value)!r}")
+
     def test_emit_plotdata_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL)

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from flockkit import (
     CompactBump,
@@ -23,6 +25,8 @@ from flockkit import (
     moment_diagnostics,
     torus_gaussian_sampler,
 )
+from flockkit.cli import _build_field, _resolve_dt, build_initial_state, load_config
+from flockkit.density import _cumulative_simpson
 from flockkit.geometry import unit_ball_volume
 
 TORUS = Torus(2, 10.0)
@@ -296,3 +300,40 @@ class TestMomentDiagnostics:
         rep = moment_diagnostics(traj)
         assert rep.ma1_max_err <= 1e-12
         assert rep.mean_position[-1][0] == pytest.approx(5.5, abs=1e-12)
+
+
+def saved_times(frames, dt, save_every, last_steps):
+    """The frame times of ``integrate``: every ``save_every``-th step, then ``T``."""
+    n_steps = (frames - 2) * save_every + last_steps
+    return np.array([k * save_every * dt for k in range(frames - 1)] + [n_steps * dt])
+
+
+class TestCumulativeSimpsonPort:
+    """The in-package rule has the bits of ``scipy.integrate.cumulative_simpson``."""
+
+    @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,)], ids=["n", "n1", "n2", "n3"])
+    @pytest.mark.parametrize("frames", [2, 3, 4, 5, 6, 7, 8, 11, 30, 31, 59, 60])
+    def test_bits_equal_scipy(self, frames, tail):
+        rng = np.random.default_rng([frames, len(tail)])
+        grids = [np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, frames - 1)])]
+        for dt, save_every in [(0.01, 1), (0.002, 10), (1e-3, 50), (0.0125, 7)]:
+            for last_steps in sorted({1, save_every // 2 + 1, save_every}):
+                grids.append(saved_times(frames, dt, save_every, last_steps))
+        for t in grids:
+            y = rng.standard_normal((frames, *tail))
+            expected = cumulative_simpson(y, x=t, axis=0, initial=0.0)
+            got = _cumulative_simpson(y, t)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_shipped_simulate_moment_error_keeps_its_bits(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg")
+        domain, field = _build_field(cfg)
+        w0 = build_initial_state(cfg, domain, field.spec)
+        traj = integrate(w0, field.spec, field.mode, T=cfg.get("dynamics", "t"),
+                         dt=_resolve_dt(cfg, field.spec, w0),
+                         save_every=cfg.get("run", "save_every"))
+        mean_x = traj.q_raw.mean(axis=1)
+        integral = cumulative_simpson(traj.p.mean(axis=1), x=traj.times, axis=0, initial=0.0)
+        expected = float(np.max(np.abs(mean_x - mean_x[0] - integral)))
+        assert moment_diagnostics(traj).ma1_max_err.hex() == expected.hex()

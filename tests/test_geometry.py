@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestGaussianPeriodized:
 
 
 class TestLogGradBounded:
+    @pytest.mark.parametrize("d,decay,reference", [
+        (1, 0.05, 849898135.60794586767),
+        (2, 0.1, 31869.281000800363409),
+        (3, 0.1, 36995.884958156187425),
+        (2, 1.0, 0.2163139948580662718),
+    ])
+    def test_normalizer_matches_a_high_precision_reference(self, d, decay, reference):
+        # 20 digits of 1 / (|S^{d-1}| * integral of exp(-sqrt(1+r^2)/l) r^(d-1) dr)
+        # from a 40-digit mpmath quadrature; adaptive double quadrature missed the
+        # first three by up to 3e-6 relative
+        normalizer = LogGradBounded(d=d, decay=decay).normalizer
+        assert normalizer == pytest.approx(reference, rel=1e-14, abs=0.0)
+
     def test_log_gradient_bound_holds(self):
         spec = LogGradBounded(d=2, decay=0.5)
         k = spec.log_grad_bound
@@ -367,3 +381,8 @@ class TestSharedProperties:
             Torus(2, -3.0)
         with pytest.raises(InputError):
             potential_eval(CompactBump(d=2, radius=1.0), np.array([1.0]))
+        # a normalizer that underflows or overflows refuses the family when it is built
+        for family, name in ((CompactBump, "radius"), (LogGradBounded, "decay")):
+            for value in (1e-300, 1e300):
+                with pytest.raises(InputError, match=re.escape(f"{name} = {value!r}")):
+                    family(d=2, **{name: value})

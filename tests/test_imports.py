@@ -1,9 +1,12 @@
-"""The import graph: ``scipy.optimize`` and ``scipy.integrate`` load only when called.
+"""The import graph: ``scipy.optimize``, ``scipy.spatial`` and ``scipy.special`` load
+only when called, and ``scipy.integrate`` never.
 
 ``import flockkit`` must not load them; the transport distance (Hungarian
-assignment), the log-gradient normalizer (``quad``) and the moment check
-(``cumulative_simpson``) import them where they are called.  The check runs
-in a fresh interpreter, because this test process has loaded them already.
+assignment), the kNN entropy (k-d tree, digamma), the reference sampler
+(``gammainc``) and the log-gradient normalizer (``kv``) import them where they
+are called.  The moment check and the normalizer need no quadrature, so the
+particle scenarios load at most ``scipy.special``.  The check runs in a fresh
+interpreter, because this test process has loaded these modules already.
 """
 
 import json
@@ -14,10 +17,11 @@ from pathlib import Path
 
 import flockkit
 
-DEFERRED = ("scipy.optimize", "scipy.integrate")
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.special")
 
 SCRIPT = r"""
 import json, sys
+from pathlib import Path
 
 def loaded(stage):
     print(json.dumps([stage, [m for m in %r if m in sys.modules]]), flush=True)
@@ -25,8 +29,15 @@ def loaded(stage):
 import flockkit, flockkit.cli
 loaded("import")
 
+from flockkit.cli import parse_config_text, run_scenario
+out = Path(sys.argv[1])
+run_scenario(parse_config_text(%r), out / "flock")
+loaded("flock-detect")
+run_scenario(parse_config_text(%r), out / "simulate")
+loaded("simulate")
+
 import numpy as np
-from flockkit import (FieldSpec, GaussianPeriodized, LogGradBounded, PointCloud, Regularized,
+from flockkit import (FieldSpec, GaussianPeriodized, PointCloud, Regularized,
                       Torus, evolve_cloud, flow_characteristics, knn_entropy,
                       transport_distance)
 
@@ -42,18 +53,80 @@ knn_entropy(np.hstack([cloud.x, cloud.v]), k=2, box=np.array([10.0, 10.0, 0.0, 0
 loaded("knn_entropy")
 transport_distance(cloud, curve.cloud_at(0.02))
 loaded("transport_distance")
-LogGradBounded(d=2).normalizer
-loaded("normalizer")
-""" % (DEFERRED,)
+"""
+
+# a regularized log-gradient run with the moment check, and a flock detection
+SIMULATE = """
+[run]
+scenario = simulate
+seed = 1
+save_every = 5
+spectral_every = 2
+graph_every = 1
+
+[domain]
+kind = free
+d = 2
+
+[potential]
+kind = loggrad
+range = 1.0
+
+[dynamics]
+mode = regularized
+epsilon = 0.1
+n = 6
+t = 0.05
+dt = 0.005
+
+[init]
+kind = uniform
+extent = 1.5
+"""
+
+FLOCK = """
+[run]
+scenario = flock-detect
+seed = 2
+save_every = 25
+
+[domain]
+kind = free
+d = 2
+
+[potential]
+kind = bump
+range = 1.0
+
+[dynamics]
+mode = plain
+n = 6
+t = 0.1
+dt = 0.002
+speed = 0.5
+
+[init]
+kind = perturbed_flock
+spacing = 0.55
+perturbation = 0.01
+
+[flock]
+radius = 0.01
+"""
 
 
-def test_scipy_optimize_and_integrate_load_only_where_called():
+def test_scipy_submodules_load_only_where_called(tmp_path):
     src = str(Path(flockkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
+    script = SCRIPT % (DEFERRED, FLOCK, SIMULATE)
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     stages = dict(json.loads(line) for line in out.stdout.splitlines())
-    for stage in ("import", "evolve_cloud", "flow_characteristics", "knn_entropy"):
+    for stage in ("import", "flock-detect"):
         assert stages[stage] == [], f"loaded after {stage}: {stages[stage]}"
-    assert stages["transport_distance"] == ["scipy.optimize"]
-    assert stages["normalizer"] == list(DEFERRED)
+    # kv of the log-gradient normalizer: the particle path needs no other deferred module
+    assert stages["simulate"] == ["scipy.special"]
+    for stage in ("evolve_cloud", "flow_characteristics"):
+        assert stages[stage] == ["scipy.special"], f"loaded after {stage}: {stages[stage]}"
+    assert stages["knn_entropy"] == ["scipy.spatial", "scipy.special"]
+    assert stages["transport_distance"] == ["scipy.optimize", "scipy.spatial", "scipy.special"]
