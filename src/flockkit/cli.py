@@ -35,7 +35,7 @@ import numpy as np
 
 from . import density, dynamics, graph, kinetic, spectral
 from .dynamics import ParticleEnsemble, Plain, Regularized, integrate
-from .errors import ConfigError, FlockkitError
+from .errors import ConfigError, FlockkitError, InputError
 from .geometry import (
     CompactBump,
     FreeSpace,
@@ -402,6 +402,11 @@ def _particle_run(cfg: RunConfig, out: Path):
     domain, field = _build_field(cfg)
     spec, mode = field.spec, field.mode
     w0 = build_initial_state(cfg, domain, spec)
+    with np.errstate(over="ignore"):  # the overflow is the error reported
+        speed_ok = math.isfinite(w0.max_speed())
+    if not speed_ok:
+        raise InputError(f"dynamics.speed = {cfg.get('dynamics', 'speed')!r} overflows: "
+                         "the initial speeds are not finite")
     dt = _resolve_dt(cfg, spec, w0)
     traj = integrate(w0, spec, mode, T=cfg.get("dynamics", "t"), dt=dt,
                      save_every=cfg.get("run", "save_every"))

@@ -152,14 +152,20 @@ def rhs(state: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode = Plain
 def _rhs_arrays(q: np.ndarray, p: np.ndarray, domain: Domain, spec: PotentialSpec,
                 eps: float) -> np.ndarray:
     den, s = alignment_sums(spec, domain, q, p, q, p)  # fresh arrays, divided in place
-    if eps:
-        den += eps
-    elif np.minimum.reduce(den) < _DEN_FLOOR:
+    if not eps and np.minimum.reduce(den) < _DEN_FLOOR:
         raise NumericalError(
             "interaction row mass underflowed below 1e-30 in plain mode; "
             "check the potential configuration"
         )
-    return np.divide(s, den[:, None], out=s)
+    return _weighted_average(den, s, eps)
+
+
+def _weighted_average(den: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
+    """The one alignment division: rows of ``w`` over ``den + eps``, both in place.
+    Callers scale ``eps`` and guard a plain-mode zero mass themselves."""
+    if eps:
+        den += eps
+    return np.divide(w, den[:, None], out=w)
 
 
 def _rk4_increment(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -344,11 +350,12 @@ class MeanBallReport:
 
 
 def check_velocity_ball(traj: Trajectory, r: float, tolerance: float = 1e-9) -> BallReport:
-    """Certify that speeds never exceeded ``r`` (up to ``tolerance``)."""
+    """Certify that speeds never exceeded ``r`` (up to ``tolerance``); an
+    overflowing (infinite) speed never passes, whatever ``r``."""
     frame_max = float(max(rec.max_speed for rec in traj.metrics))
     max_speed = max(frame_max, traj.max_speed_overall)
     return BallReport(radius=r, max_speed=max_speed, tolerance=tolerance,
-                      ok=max_speed <= r + tolerance)
+                      ok=max_speed <= r + tolerance and math.isfinite(max_speed))
 
 
 def check_mean_velocity_ball(traj: Trajectory, epsilon: float,

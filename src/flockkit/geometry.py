@@ -11,7 +11,7 @@ and normalized so the free-space integral equals one:
   whose logarithmic gradient is bounded by ``1/l`` everywhere; optionally
   periodized over a torus lattice.
 * :class:`GaussianPeriodized` -- Gaussian of width ``R`` summed over the
-  torus lattice, truncated once the omitted tail is below ``1e-12``.
+  torus lattice, truncated once the omitted tail is below ``1e-14``.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ class GaussianPeriodized:
 
     The lattice sum factorizes across coordinates, so evaluation reduces to
     a product of one-dimensional wrapped Gaussians; truncation order is
-    chosen automatically so the omitted tail is below ``1e-12``.
+    chosen automatically so the omitted tail is below ``1e-14``.
     """
 
     d: int

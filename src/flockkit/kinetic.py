@@ -31,6 +31,7 @@ from .dynamics import (
     _grid_steps,
     _rk4_steps,
     _time_slack,
+    _weighted_average,
 )
 from .errors import ConfigError, DegenerateInputError, InputError, NumericalError
 from .geometry import (
@@ -88,8 +89,10 @@ class PointCloud:
             )
         if self.x.shape[0] < 1:
             raise InputError("a cloud needs at least one point")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.v).all()):
+            raise InputError("non-finite entries in cloud")
         speeds = np.sqrt(np.sum(np.square(self.v), axis=1))
-        if float(speeds.max()) > 1.0 + _SPEED_TOL:
+        if not float(speeds.max()) <= 1.0 + _SPEED_TOL:
             raise InputError(
                 f"cloud velocities must lie in the unit ball; max speed {speeds.max():.6g}"
             )
@@ -136,16 +139,10 @@ class MeasureCurve:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Interaction family plus dynamics mode driving the mean-field increment.
-
-    ``zero_overlap_zero`` selects the convention that forces the increment
-    to vanish when the interaction mass at the evaluation point is zero
-    (the literal regularized formula returns ``-v`` there instead).
-    """
+    """Interaction family plus dynamics mode driving the mean-field increment."""
 
     spec: PotentialSpec
     mode: DynamicsMode = Plain()
-    zero_overlap_zero: bool = False
 
 
 def _validate_field(field: FieldSpec, domain: Domain) -> None:
@@ -172,7 +169,7 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
 
     The default is the convention of the regularized particle system itself:
     the interaction-weighted average of the velocity differences, with
-    ``epsilon`` added to the denominator.  Its velocity divergence is
+    ``epsilon`` added to the 1/n-normalised mass.  Its velocity divergence is
     ``-d * mass/(mass + epsilon)`` and it vanishes where the interaction
     mass does, which the volume-transport and entropy laws rely on.  With
     ``literal=True`` the increment is instead the weighted average velocity
@@ -180,27 +177,20 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
     returns ``-v`` at zero overlap; the two coincide in plain mode.
     """
     den, s = alignment_sums(field.spec, domain, x, v, cloud_x, cloud_v)  # fresh, divided in place
-    n_src = cloud_x.shape[0]
-    if isinstance(field.mode, Plain):
-        if np.minimum.reduce(den) <= 0.0:
-            # beyond D / (2 eps) the minimum image can be off by half a cell
-            reach = max(np.abs(x).max(), np.abs(cloud_x).max())
-            if not reach < 0.5 * domain.size / np.finfo(float).eps:
-                raise NumericalError(f"zero interaction mass at positions up to {reach:.3g}, "
-                                     "beyond the minimum image's precision: the state blew up")
-            raise ConfigError(
-                "zero interaction mass in plain mode; the field-spec invariant "
-                "(positive infimum on the torus) is violated"
-            )
-        return np.divide(s, den[:, None], out=s)
-    eps_total = field.mode.epsilon * n_src
-    if literal:
-        out = (s - eps_total * v) / (den + eps_total)[:, None]
-        if field.zero_overlap_zero:
-            out[den == 0.0] = 0.0
-        return out
-    den += eps_total
-    return np.divide(s, den[:, None], out=s)
+    if isinstance(field.mode, Plain) and np.minimum.reduce(den) <= 0.0:
+        # beyond D / (2 eps) the minimum image can be off by half a cell
+        reach = max(np.abs(x).max(), np.abs(cloud_x).max())
+        if not reach < 0.5 * domain.size / np.finfo(float).eps:
+            raise NumericalError(f"zero interaction mass at positions up to {reach:.3g}, "
+                                 "beyond the minimum image's precision: the state blew up")
+        raise ConfigError(
+            "zero interaction mass in plain mode; the field-spec invariant "
+            "(positive infimum on the torus) is violated"
+        )
+    eps_total = field.mode.epsilon * cloud_x.shape[0]
+    if literal and eps_total:
+        s -= eps_total * v
+    return _weighted_average(den, s, eps_total)
 
 
 def mean_field_M(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
@@ -208,15 +198,15 @@ def mean_field_M(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
     """Mean-field velocity increment at one phase point; bounded by two.
 
     Uses the literal regularized display (weighted average velocity over the
-    regularized mass, minus ``v``), which returns ``-v`` at zero overlap
-    unless ``field.zero_overlap_zero`` selects the vanishing convention.
+    regularized mass, minus ``v``), which returns ``-v`` at zero overlap.
     """
-    _validate_field(field, cloud.domain)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     v = np.asarray(v, dtype=float).reshape(1, -1)
-    if float(np.sqrt(np.sum(np.square(v)))) > 1.0 + _SPEED_TOL:
+    if not np.isfinite(x).all():
+        raise InputError("position argument must be finite")
+    if not float(np.sqrt(np.sum(np.square(v)))) <= 1.0 + _SPEED_TOL:
         raise InputError("velocity argument must lie in the unit ball")
-    return _field_rhs(x, v, cloud.x, cloud.v, field, cloud.domain, literal=True)[0]
+    return mean_field_batch(x, v, cloud, field)[0]
 
 
 def mean_field_batch(x: np.ndarray, v: np.ndarray, cloud: PointCloud,

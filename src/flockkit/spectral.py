@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from ._kernels import kernel_table
-from .dynamics import DynamicsMode, ParticleEnsemble, Plain
+from .dynamics import DynamicsMode, ParticleEnsemble, Plain, _weighted_average
 from .errors import InputError, NumericalError, PreconditionError
 from .geometry import FreeSpace, PotentialSpec, displacement_table
 from .graph import CommGraph, is_connected
@@ -75,9 +75,8 @@ def interaction_matrix(state: ParticleEnsemble, spec: PotentialSpec,
     eps = mode.epsilon
     if eps == 0.0 and float(den.min()) <= 0.0:
         raise NumericalError("zero interaction row mass in plain mode")
-    weights = den + eps
-    a = u / weights[:, None]
-    stationary = weights / weights.sum()
+    a = _weighted_average(den, u, eps)
+    stationary = den / den.sum()
     return InteractionMatrix(a=a, stationary=stationary, substochastic=eps > 0.0)
 
 

@@ -301,6 +301,39 @@ class TestMain:
         assert record["error"] == "InputError"
         assert record["message"].startswith(f"{name} = {float(value)!r}")
 
+    def test_overflowing_speed_is_a_failure_record(self, tmp_path, capsys):
+        # speeds of 1e300 square past the float range: the run used to exit 1 with
+        # inf rows in metrics.csv and velocity_ball passed
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("n = 8", "n = 8\nspeed = 1e300"))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "InputError",
+                          "message": "dynamics.speed = 1e+300 overflows: "
+                                     "the initial speeds are not finite"}
+
+    @pytest.mark.parametrize("scenario,old,new,message", [
+        ("simulate", "kind = bump", "kind = cone",
+         "potential.kind: 'cone' not one of ('bump', 'loggrad', 'gaussian')"),
+        ("simulate", "\n[run]", "seed = 1\n[run]", "key outside of any [section] (line 1)"),
+        ("simulate", "seed = 3", "seed = 3\nseed = 4",
+         "duplicate key 'seed' in section [run] (line 5)"),
+        ("simulate", "kind = bump", "kind = gaussian",
+         "potential.kind gaussian requires a torus domain"),
+        ("converge", "kind = bump", "kind = gaussian",
+         "converge scenario requires a torus domain with the gaussian potential family"),
+    ], ids=["outside-choices", "outside-sections", "duplicate-key", "gaussian-on-free",
+            "converge-on-free"])
+    def test_config_errors_are_failure_records(self, tmp_path, capsys, scenario, old, new,
+                                               message):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace(old, new, 1))
+        code = main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "message": message}
+
     def test_emit_plotdata_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL)
@@ -402,6 +435,18 @@ class TestKineticRunners:
         assert summary["ok"], summary["checks"]
         assert (tmp_path / artifact).exists()
         assert_envelope(summary, scenario)
+
+    def test_free_space_stability_samples_a_box(self, tmp_path):
+        text = (SMALL_KINETIC.replace("kind = torus\nd = 2\nsize = 5.0", "kind = free\nd = 2")
+                .replace("kind = gaussian\nrange = 2.0",
+                         "kind = bump\nrange = 1.0\n\n[dynamics]\nmode = regularized"))
+        summary = run_scenario(parse_config_text(text), tmp_path)
+        assert_envelope(summary, "stability")
+        assert summary["checks"] == {"growth_bound": True}
+        lines = (tmp_path / "stability.csv").read_text().splitlines()
+        assert lines[0] == "t,W_hat,ratio,log_bound,ok"
+        assert len(lines) == 1 + 3  # one row per check
+        assert all(line.endswith(",true") for line in lines[1:])
 
     def test_entropy_runner_csv_and_rate(self, tmp_path):
         text = SMALL_KINETIC.replace("scenario = stability", "scenario = entropy")

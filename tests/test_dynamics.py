@@ -351,6 +351,15 @@ class TestBallChecks:
         rep = check_velocity_ball(traj, 1.0)
         assert rep.max_speed == pytest.approx(1.0, abs=1e-12) and rep.ok
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_speed_never_passes(self):
+        # |p| = 1e200 squares past the float range: every speed reads inf, and the
+        # ball of the initial (inf) speed used to certify it
+        w0 = ParticleEnsemble(FreeSpace(2), np.zeros((1, 2)), np.array([[1e200, 0.0]]))
+        traj = integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=0.0, dt=0.1)
+        rep = check_velocity_ball(traj, w0.max_speed())
+        assert rep.max_speed == np.inf and not rep.ok
+
     def test_speed_ball_invariance_small_cluster(self):
         w0 = cluster_state(n=12, speed=1.0, seed=10, spread=0.4)
         r0 = w0.max_speed()

@@ -58,6 +58,13 @@ class TestFieldSpec:
         with pytest.raises(ConfigError):
             mean_field_M(np.zeros(2), np.zeros(2), cloud, field)
 
+    @pytest.mark.parametrize("which", ["x", "v"])
+    def test_non_finite_cloud_rejected(self, which):
+        # nan > 1 + tol is false, so a nan velocity used to pass the unit-ball check
+        arrays = {"x": np.zeros((2, 2)), "v": np.zeros((2, 2))}
+        arrays[which][1, 0] = np.nan
+        with pytest.raises(InputError, match="non-finite entries in cloud"):
+            PointCloud(TORUS, arrays["x"], arrays["v"])
 
     def test_empty_cloud_rejected(self):
         # an empty cloud used to reach mean_field_M / evolve_cloud and divide by zero
@@ -77,12 +84,15 @@ class TestMeanField:
         got = mean_field_M(np.array([30.0, 30.0]), np.array([0.2, -0.1]), atom, field)
         np.testing.assert_allclose(got, [-0.2, 0.1], atol=1e-15)
 
-    def test_zero_overlap_convention_switch(self):
-        field = FieldSpec(spec=CompactBump(d=2, radius=1.0), mode=Regularized(0.1),
-                          zero_overlap_zero=True)
-        atom = PointCloud(FreeSpace(2), np.zeros((1, 2)), np.array([[0.5, 0.0]]))
-        got = mean_field_M(np.array([30.0, 30.0]), np.array([0.2, -0.1]), atom, field)
-        np.testing.assert_array_equal(got, np.zeros(2))
+    @pytest.mark.parametrize("x, v, message", [
+        ([0.0, 0.0], [np.nan, 0.0], "velocity argument must lie in the unit ball"),
+        ([0.0, 0.0], [0.8, 0.8], "velocity argument must lie in the unit ball"),
+        ([np.nan, 0.0], [0.0, 0.0], "position argument must be finite"),
+    ], ids=["nan-velocity", "outside-the-ball", "nan-position"])
+    def test_point_outside_phase_space_rejected(self, x, v, message):
+        # a nan velocity used to come back as the increment [nan, 0]
+        with pytest.raises(InputError, match=message):
+            mean_field_M(np.array(x), np.array(v), torus_cloud(5), PLAIN_FIELD)
 
     @pytest.mark.parametrize("mode", [Plain(), Regularized(0.1)])
     def test_bounded_by_two(self, mode):
@@ -477,6 +487,25 @@ class TestFieldRhsBits:
         assert _kernels.path_counts[path] == before + 1
         ref = s / (den + mode.epsilon * m)[:, None]
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec, domain, n, m", [
+        (GAUSS, TORUS, 1, 200), (GAUSS, TORUS, 4000, 256),
+        # targets out of the bump's reach have zero mass and the increment -v
+        (CompactBump(d=2, radius=0.2), FreeSpace(2), 60, 40),
+    ], ids=["direct", "fourier", "zero-overlap"])
+    def test_literal_display_matches_the_out_of_place_form(self, spec, domain, n, m):
+        from flockkit import _kernels
+        rng = np.random.default_rng(n + m)
+        x, v = rng.uniform(0.0, 10.0, (n, 2)), rng.uniform(-0.5, 0.5, (n, 2))
+        y, u = rng.uniform(0.0, 10.0, (m, 2)), rng.uniform(-0.5, 0.5, (m, 2))
+        den, s = _kernels.alignment_sums(spec, domain, x, v, y, u)
+        field = FieldSpec(spec=spec, mode=Regularized(0.1))
+        got = mean_field_batch(x, v, PointCloud(domain, y, u), field)
+        eps_n = 0.1 * m
+        ref = (s - eps_n * v) / (den + eps_n)[:, None]
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        if isinstance(domain, FreeSpace):
+            assert np.any(den == 0.0)
 
 
 class TestEvolveCloud:

@@ -5,6 +5,7 @@ from flockkit import (
     CompactBump,
     FreeSpace,
     LogGradBounded,
+    NumericalError,
     ParticleEnsemble,
     Plain,
     PreconditionError,
@@ -17,6 +18,8 @@ from flockkit import (
     spectrum,
     velocity_projector,
 )
+from flockkit import spectral
+from flockkit._kernels import kernel_table
 
 
 def positions_state(q):
@@ -109,6 +112,23 @@ class TestInteractionMatrix:
         u = spec.values(q[:, None, :] - q[None, :, :])
         expected = u.sum(axis=1) / u.sum()
         np.testing.assert_allclose(m.stationary, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("mode", [Plain(), Regularized(0.1)], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("spec", [CompactBump(d=2, radius=1.0), LogGradBounded(d=2)],
+                             ids=["bump", "loggrad"])
+    def test_matches_the_out_of_place_form(self, spec, mode):
+        state = positions_state(np.random.default_rng(3).uniform(0, 3, (12, 2)))
+        u = kernel_table(spec, state.domain, state.q)
+        weights = u.sum(axis=1) + mode.epsilon
+        m = interaction_matrix(state, spec, mode)
+        assert m.a.tobytes() == (u / weights[:, None]).tobytes()
+        assert m.stationary.tobytes() == (weights / weights.sum()).tobytes()
+
+    def test_plain_zero_row_mass_rejected(self, monkeypatch):
+        monkeypatch.setattr(spectral, "kernel_table", lambda *args: np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="zero interaction row mass in plain mode"):
+            interaction_matrix(positions_state([[0, 0], [0.5, 0]]),
+                               CompactBump(d=2, radius=1.0))
 
     def test_regularized_substochastic(self):
         state = positions_state([[0, 0], [0.5, 0]])
