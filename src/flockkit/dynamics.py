@@ -74,20 +74,8 @@ class ParticleEnsemble:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        if self.q.shape != self.p.shape or self.q.ndim != 2:
-            raise InputError(
-                f"positions {self.q.shape} and velocities {self.p.shape} must share shape (N, d)"
-            )
-        if self.q.shape[1] != self.domain.d:
-            raise InputError(
-                f"state dimension {self.q.shape[1]} does not match domain dimension {self.domain.d}"
-            )
-        if self.q.shape[0] < 1:
-            raise InputError("at least one particle is required")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
-            raise InputError("non-finite entries in initial state")
+        self.q, self.p = _phase_points(self.domain.d, self.q, self.p, "particle state",
+                                       math.inf)
 
     @property
     def n(self) -> int:
@@ -248,6 +236,30 @@ def _require_finite(what: str, step: int, t: float, state: np.ndarray) -> None:
             f"non-finite {what} at step {step} (t = {t:.6g}); "
             "reduce dt or check the configuration"
         )
+
+
+def _phase_points(d: int, x, v, what: str, cap: float | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one check of a set of phase points: positions and velocities as
+    float ``(n, d)`` arrays, or ``InputError`` naming ``what`` for mismatched shapes, no
+    points, non-finite entries, or (unless ``cap`` is None) a speed that overflows or
+    exceeds ``cap``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    if x.shape != v.shape or x.ndim != 2 or x.shape[1] != d:
+        raise InputError(f"positions {x.shape} and velocities {v.shape} in {what} "
+                         f"must share shape (n, {d})")
+    if x.shape[0] < 1:
+        raise InputError(f"at least one point is required in {what}")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise InputError(f"non-finite entries in {what}")
+    if cap is not None:
+        with np.errstate(over="ignore"):  # an overflowing speed is refused below
+            top = _max_speed(v)
+        if not (top <= cap and math.isfinite(top)):
+            limit = "finite" if cap == math.inf else f"at most {cap!r}"
+            raise InputError(f"speeds in {what} must be {limit}; max speed {top:.6g}")
+    return x, v
 
 
 def _max_speed(p: np.ndarray) -> float:

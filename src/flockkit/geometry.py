@@ -300,8 +300,14 @@ class LogGradBounded:
         return self._profile(r) * r / (self.decay * np.sqrt(1.0 + np.square(r)))
 
     @cached_property
-    def _free_grad_max(self) -> float:
-        return _radial_max(self._grad_profile, 0.0, 50.0 * self.decay)
+    def _grad_argmax(self) -> float:
+        # with s = sqrt(1 + r^2) the log-derivative of r exp(-s/l) / s vanishes where
+        # s^3 - s = l; its one root above one by the trigonometric (three real roots)
+        # or hyperbolic cubic formula, and then r^2 = s^2 - 1 = l / s
+        a = 1.5 * math.sqrt(3.0) * self.decay
+        s = 2.0 / math.sqrt(3.0) * (math.cos(math.acos(a) / 3.0) if a <= 1.0
+                                    else math.cosh(math.acosh(a) / 3.0))
+        return math.sqrt(self.decay / s)
 
     def _image_distances(self) -> np.ndarray:
         # image n is at distance >= (|n|_inf - 1/2) * D from the fundamental cell
@@ -317,15 +323,10 @@ class LogGradBounded:
 
     @cached_property
     def grad_sup(self) -> float:
-        if self.period is None:
-            return self._free_grad_max
-        out = 0.0
-        for rn in self._image_distances():
-            # the gradient profile rises then decays monotonically, so the
-            # maximum over [rn, inf) is either the global one or the value at rn
-            out += max(self._free_grad_max if rn == 0.0 else 0.0,
-                       _radial_max(self._grad_profile, rn, rn + 60.0 * self.decay, 6001))
-        return out
+        # the gradient profile rises to its argmax, then decays, so its maximum over
+        # [r_n, inf) is its value at max(r_n, argmax); free space has r_0 = 0 only
+        rn = self._image_distances() if self.period is not None else np.zeros(1)
+        return float(np.sum(self._grad_profile(np.maximum(rn, self._grad_argmax))))
 
     def inf_lower(self, domain: Domain) -> float:
         """Certified lower bound on the infimum of the potential over the domain."""

@@ -29,6 +29,7 @@ from .dynamics import (
     _GRID_RTOL,
     _grid_indices,
     _grid_steps,
+    _phase_points,
     _rk4_steps,
     _time_slack,
     _weighted_average,
@@ -68,7 +69,8 @@ __all__ = [
     "field_constants",
 ]
 
-_SPEED_TOL = 1e-9
+# the kinematic constraint |v| <= 1 of phase space X x B_1, to rounding
+_UNIT_BALL = 1.0 + 1e-9
 
 
 @dataclass
@@ -80,22 +82,7 @@ class PointCloud:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.v = np.atleast_2d(np.asarray(self.v, dtype=float))
-        if self.x.shape != self.v.shape or self.x.shape[1] != self.domain.d:
-            raise InputError(
-                f"cloud arrays must share shape (n, {self.domain.d}); "
-                f"got {self.x.shape} and {self.v.shape}"
-            )
-        if self.x.shape[0] < 1:
-            raise InputError("a cloud needs at least one point")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.v).all()):
-            raise InputError("non-finite entries in cloud")
-        speeds = np.sqrt(np.sum(np.square(self.v), axis=1))
-        if not float(speeds.max()) <= 1.0 + _SPEED_TOL:
-            raise InputError(
-                f"cloud velocities must lie in the unit ball; max speed {speeds.max():.6g}"
-            )
+        self.x, self.v = _phase_points(self.domain.d, self.x, self.v, "cloud", _UNIT_BALL)
 
     @property
     def n(self) -> int:
@@ -113,8 +100,14 @@ class MeasureCurve:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        if self.x.shape[0] != len(self.times) or self.v.shape != self.x.shape:
-            raise InputError("curve arrays must have one cloud per grid time")
+        self.x = np.asarray(self.x, dtype=float)
+        self.v = np.asarray(self.v, dtype=float)
+        if not (self.x.ndim == self.v.ndim == 3
+                and len(self.x) == len(self.v) == len(self.times)):
+            raise InputError("curve arrays must have one (n, d) cloud per grid time")
+        for k, t in enumerate(self.times):
+            _phase_points(self.domain.d, self.x[k], self.v[k], f"curve cloud at t = {t:g}",
+                          _UNIT_BALL)
         if np.any(np.diff(self.times) <= 0.0):
             raise InputError("curve grid times must be strictly increasing")
 
@@ -200,21 +193,16 @@ def mean_field_M(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
     Uses the literal regularized display (weighted average velocity over the
     regularized mass, minus ``v``), which returns ``-v`` at zero overlap.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    v = np.asarray(v, dtype=float).reshape(1, -1)
-    if not np.isfinite(x).all():
-        raise InputError("position argument must be finite")
-    if not float(np.sqrt(np.sum(np.square(v)))) <= 1.0 + _SPEED_TOL:
-        raise InputError("velocity argument must lie in the unit ball")
-    return mean_field_batch(x, v, cloud, field)[0]
+    return mean_field_batch(np.reshape(x, (1, -1)), np.reshape(v, (1, -1)), cloud, field)[0]
 
 
 def mean_field_batch(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
                      field: FieldSpec) -> np.ndarray:
-    """Vectorized :func:`mean_field_M` over rows of ``x`` and ``v``."""
+    """Vectorized :func:`mean_field_M` over rows of ``x`` and ``v``, which must be
+    phase points (finite, velocities in the unit ball)."""
     _validate_field(field, cloud.domain)
-    return _field_rhs(np.atleast_2d(x), np.atleast_2d(v), cloud.x, cloud.v,
-                      field, cloud.domain, literal=True)
+    x, v = _phase_points(cloud.domain.d, x, v, "mean-field targets", _UNIT_BALL)
+    return _field_rhs(x, v, cloud.x, cloud.v, field, cloud.domain, literal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +291,15 @@ def _overlap_fraction(x: np.ndarray, curve: MeasureCurve, field: FieldSpec,
     return mass / (mass + field.mode.epsilon)
 
 
-def _as_batch(w0) -> tuple[np.ndarray, np.ndarray]:
+def _as_batch(w0) -> tuple:
+    if isinstance(w0, PointCloud):
+        return w0.x, w0.v
     if isinstance(w0, tuple):
         x, v = w0
-    elif isinstance(w0, PointCloud):
-        x, v = w0.x, w0.v
-    else:
-        arr = np.asarray(w0, dtype=float)
-        half = arr.shape[-1] // 2
-        arr = np.atleast_2d(arr)
-        x, v = arr[:, :half], arr[:, half:]
-    return np.atleast_2d(np.asarray(x, dtype=float)).copy(), \
-        np.atleast_2d(np.asarray(v, dtype=float)).copy()
+        return x, v
+    arr = np.atleast_2d(np.asarray(w0, dtype=float))
+    half = arr.shape[-1] // 2
+    return arr[:, :half], arr[:, half:]
 
 
 def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
@@ -335,7 +320,8 @@ def flow_characteristics(w0, curve: MeasureCurve, field: FieldSpec,
     grid; otherwise ``InputError`` is raised before any step is taken.
     """
     _validate_field(field, curve.domain)
-    x, v = _as_batch(w0)
+    # finite starts of any speed: a start outside the unit ball is still a flow
+    x, v = _phase_points(curve.domain.d, *_as_batch(w0), "characteristic starts", None)
     t0 = float(curve.times[0]) if t_start is None else float(t_start)
     t_final = float(t_final)
     backward = t_final < t0
@@ -434,16 +420,14 @@ def transport_distance(a: PointCloud, b: PointCloud, max_points: int = 2000,
     return min(w1, 1.0)
 
 
-def curve_distance(a: MeasureCurve, b: MeasureCurve, alpha: float = 0.0,
-                   max_points: int = 2000, seed: int = 0) -> float:
+def curve_distance(a: MeasureCurve, b: MeasureCurve, alpha: float = 0.0) -> float:
     """Exponentially weighted sup over the grid of cloud transport distances."""
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise InputError("curve distance requires matching time grids")
     best = 0.0
     for k, t in enumerate(a.times):
         w = transport_distance(PointCloud(a.domain, a.x[k], a.v[k]),
-                               PointCloud(b.domain, b.x[k], b.v[k]),
-                               max_points=max_points, seed=seed)
+                               PointCloud(b.domain, b.x[k], b.v[k]))
         best = max(best, float(np.exp(-alpha * t)) * w)
     return best
 
@@ -521,13 +505,12 @@ class StabilityReport:
 
 
 def stability_bound_check(cloud_a: PointCloud, cloud_b: PointCloud, field: FieldSpec,
-                          T: float, dt: float, n_checks: int = 8,
-                          slack: float = 1.01) -> StabilityReport:
+                          T: float, dt: float, n_checks: int = 8) -> StabilityReport:
     """Certify the exponential stability bound on paired cloud evolutions.
 
     Both clouds evolve under their own empirical dynamics; the ratio of the
     transport distance to its initial value must stay below ``exp(c t)``
-    (times ``slack``), with ``c`` assembled from the Lipschitz constant of
+    (times 1.01), with ``c`` assembled from the Lipschitz constant of
     the field and the interaction-mass lower bound.  Comparison happens in
     log space so huge bounds do not overflow.  The checks sit at the step
     grid times nearest to ``n_checks`` evenly spaced times in ``(0, T]``;
@@ -555,7 +538,7 @@ def stability_bound_check(cloud_a: PointCloud, cloud_b: PointCloud, field: Field
                                PointCloud(curve_b.domain, curve_b.x[k], curve_b.v[k]))
         ratio = w / w0
         log_bound = consts.c * float(t)
-        row_ok = np.log(max(ratio, 1e-300)) <= log_bound + np.log(slack)
+        row_ok = np.log(max(ratio, 1e-300)) <= log_bound + np.log(1.01)
         ok = ok and bool(row_ok)
         rows.append({"t": float(t), "W_hat": float(w), "ratio": float(ratio),
                      "log_bound": float(log_bound), "ok": bool(row_ok)})

@@ -310,8 +310,20 @@ class TestMain:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "InputError",
-                          "message": "dynamics.speed = 1e+300 overflows: "
-                                     "the initial speeds are not finite"}
+                          "message": "speeds in particle state must be finite; max speed inf"}
+
+    def test_unwritable_out_is_a_failure_record(self, tmp_path, capsys):
+        # --out below a regular file used to end in a NotADirectoryError traceback
+        # with exit 1, which reads as a failed check
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        (tmp_path / "file").write_text("")
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "file" / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NotADirectoryError"
+        assert str(tmp_path / "file" / "run") in record["message"]
 
     @pytest.mark.parametrize("scenario,old,new,message", [
         ("simulate", "kind = bump", "kind = cone",

@@ -10,6 +10,7 @@ from flockkit import (
     NumericalError,
     ParticleEnsemble,
     Plain,
+    Trajectory,
     Regularized,
     Torus,
     barycenter_project,
@@ -20,7 +21,7 @@ from flockkit import (
     rhs,
 )
 from flockkit._kernels import alignment_sums, kernel_table
-from flockkit.dynamics import _max_speed, _rhs_arrays, default_dt
+from flockkit.dynamics import _frame_metrics, _max_speed, _rhs_arrays, default_dt
 from flockkit.geometry import wrap_positions
 
 
@@ -131,11 +132,14 @@ class TestIntegrate:
         assert np.max(np.abs(traj.p[-1] - p)) < 5e-4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_blowup_raises_numerical_error_naming_step(self):
-        dom = FreeSpace(2)
-        w0 = ParticleEnsemble(dom, np.zeros((2, 2)),
-                              np.array([[9e307, 0.0], [-9e307, 0.0]]))
-        with pytest.raises(NumericalError, match=r"step 1 \(t = 0\.1\)"):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_raises_numerical_error_naming_step(self, monkeypatch):
+        # a finite start whose accelerations of 1e308 overflow the first increment
+        import flockkit.dynamics as dynamics
+        w0 = ParticleEnsemble(FreeSpace(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        monkeypatch.setattr(dynamics, "alignment_sums",
+                            lambda *args: (np.ones(2), np.full((2, 2), 1e308)))
+        with pytest.raises(NumericalError, match=r"non-finite state at step 1 \(t = 0\.1\)"):
             integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=1.0, dt=0.1)
 
     def test_stage_error_names_step_and_time(self, monkeypatch):
@@ -354,10 +358,13 @@ class TestBallChecks:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_speed_never_passes(self):
         # |p| = 1e200 squares past the float range: every speed reads inf, and the
-        # ball of the initial (inf) speed used to certify it
-        w0 = ParticleEnsemble(FreeSpace(2), np.zeros((1, 2)), np.array([[1e200, 0.0]]))
-        traj = integrate(w0, CompactBump(d=2, radius=1.0), Plain(), T=0.0, dt=0.1)
-        rep = check_velocity_ball(traj, w0.max_speed())
+        # ball of the initial (inf) speed used to certify it; ParticleEnsemble now
+        # refuses such a state, so the one-frame trajectory is built directly
+        p = np.array([[1e200, 0.0]])
+        traj = Trajectory(FreeSpace(2), np.zeros(1), np.zeros((1, 1, 2)), p[None],
+                          np.zeros((1, 1, 2)), metrics=[_frame_metrics(0.0, p)],
+                          max_speed_overall=_max_speed(p))
+        rep = check_velocity_ball(traj, _max_speed(p))
         assert rep.max_speed == np.inf and not rep.ok
 
     def test_speed_ball_invariance_small_cluster(self):

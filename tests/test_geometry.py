@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from flockkit import (
     CompactBump,
@@ -281,6 +282,22 @@ class TestLogGradBounded:
         # first three by up to 3e-6 relative
         normalizer = LogGradBounded(d=d, decay=decay).normalizer
         assert normalizer == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("decay,period", [
+        (0.05, None), (0.3, None), (1.0, None), (4.0, None), (1.0, 10.0), (0.5, 3.0),
+    ])
+    def test_grad_sup_is_the_gradient_profile_maximum(self, decay, period):
+        # a 20,001-point grid read 1.2e-6 (decay 1) to 3.5e-8 (decay 0.05) relative
+        # below the supremum, which field_constants uses as an upper bound; here each
+        # image n contributes the profile's maximum over [r_n, r_n + 50 decay], found
+        # in the offset u = r - r_n so that the optimizer's tolerance is absolute
+        spec = LogGradBounded(d=2, decay=decay, period=period)
+        distances = spec._image_distances() if period else [0.0]
+        reference = math.fsum(
+            -minimize_scalar(lambda u: -spec._grad_profile(rn + u), bounds=(0.0, 50.0 * decay),
+                             method="bounded", options={"xatol": 1e-12}).fun
+            for rn in distances)
+        assert spec.grad_sup == pytest.approx(reference, rel=1e-11, abs=0.0)
 
     def test_log_gradient_bound_holds(self):
         spec = LogGradBounded(d=2, decay=0.5)

@@ -15,6 +15,7 @@ from flockkit import (
     InputError,
     LogGradBounded,
     NumericalError,
+    ParticleEnsemble,
     PointCloud,
     Plain,
     Regularized,
@@ -72,6 +73,57 @@ class TestFieldSpec:
             PointCloud(TORUS, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
+def _flow_from(x, v):
+    curve = evolve_cloud(torus_cloud(5, seed=12), PLAIN_FIELD, T=0.1, dt=0.05)
+    return flow_characteristics((x, v), curve, PLAIN_FIELD, t_final=0.1, dt=0.05)
+
+
+# every entry point that takes a set of phase points, and its speed rule: particles
+# need finite speeds, flow starts any finite entries, the rest the unit ball
+PHASE_ENTRY_POINTS = {
+    "ParticleEnsemble": lambda x, v: ParticleEnsemble(FreeSpace(2), x, v),
+    "PointCloud": lambda x, v: PointCloud(TORUS, x, v),
+    "MeasureCurve": lambda x, v: MeasureCurve(TORUS, [0.0, 1.0], [x, x], [v, v]),
+    "mean_field_batch": lambda x, v: mean_field_batch(x, v, torus_cloud(5), PLAIN_FIELD),
+    "flow-starts": _flow_from,
+}
+
+
+def bad_phase_points(entry, kind):
+    rng = np.random.default_rng(31)
+    x, v = rng.uniform(0.0, 10.0, (3, 2)), rng.uniform(-0.5, 0.5, (3, 2))
+    if kind == "nan-position":
+        x[1, 0] = np.nan
+    elif kind == "nan-velocity":
+        v[1, 0] = np.nan
+    elif kind == "no-points":
+        x, v = x[:0], v[:0]
+    elif kind == "shape-mismatch":
+        v = v[:2]
+    else:  # an overflowing speed for particles, one outside the unit ball elsewhere
+        v[1] = [1e200, 0.0] if entry == "ParticleEnsemble" else [5.0, 0.0]
+    return x, v
+
+
+class TestPhasePoints:
+    @pytest.mark.parametrize("entry,kind", [
+        (entry, kind) for entry in PHASE_ENTRY_POINTS
+        for kind in ("nan-position", "nan-velocity", "no-points", "shape-mismatch", "speed")
+        if (entry, kind) != ("flow-starts", "speed")
+    ], ids=lambda value: value)
+    def test_refused_at_every_entry_point(self, entry, kind):
+        # curves, mean-field targets and flow starts used to take nan and out-of-ball
+        # points (a nan increment, a nan flow blamed on dt), and particles |p| = 1e200
+        x, v = bad_phase_points(entry, kind)
+        with pytest.raises(InputError):
+            PHASE_ENTRY_POINTS[entry](x, v)
+
+    def test_curve_names_its_cloud(self):
+        x, v = bad_phase_points("MeasureCurve", "speed")
+        with pytest.raises(InputError, match=r"speeds in curve cloud at t = 0 must be at most"):
+            MeasureCurve(TORUS, [0.0, 1.0], [x, x], [v, v])
+
+
 class TestMeanField:
     def test_single_atom_plain(self):
         atom = PointCloud(TORUS, np.array([[5.0, 5.0]]), np.array([[0.3, -0.2]]))
@@ -85,9 +137,10 @@ class TestMeanField:
         np.testing.assert_allclose(got, [-0.2, 0.1], atol=1e-15)
 
     @pytest.mark.parametrize("x, v, message", [
-        ([0.0, 0.0], [np.nan, 0.0], "velocity argument must lie in the unit ball"),
-        ([0.0, 0.0], [0.8, 0.8], "velocity argument must lie in the unit ball"),
-        ([np.nan, 0.0], [0.0, 0.0], "position argument must be finite"),
+        ([0.0, 0.0], [np.nan, 0.0], "non-finite entries in mean-field targets"),
+        ([0.0, 0.0], [0.8, 0.8],
+         r"speeds in mean-field targets must be at most 1\.000000001; max speed 1\.13137"),
+        ([np.nan, 0.0], [0.0, 0.0], "non-finite entries in mean-field targets"),
     ], ids=["nan-velocity", "outside-the-ball", "nan-position"])
     def test_point_outside_phase_space_rejected(self, x, v, message):
         # a nan velocity used to come back as the increment [nan, 0]
@@ -238,7 +291,8 @@ class TestFlow:
         # an empty batch used to fail with "range() arg 3 must not be zero"
         cloud = torus_cloud(5, seed=12)
         curve = evolve_cloud(cloud, PLAIN_FIELD, T=0.2, dt=0.01)
-        with pytest.raises(InputError, match="at least one target"):
+        with pytest.raises(InputError,
+                           match="at least one point is required in characteristic starts"):
             flow_characteristics(np.zeros((0, 4)), curve, PLAIN_FIELD, t_final=0.2, dt=0.01)
 
     def test_final_time_off_the_step_grid_rejected(self):
