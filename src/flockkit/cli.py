@@ -341,10 +341,17 @@ def _resolve_dt(cfg: RunConfig, spec, w0: ParticleEnsemble) -> float:
     return dt
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers(n_jobs: int) -> int:
     env = os.environ.get("FLOCKKIT_THREADS", "")
     try:
-        cap = int(env) if env else (os.cpu_count() or 1)
+        cap = int(env) if env else _usable_cpus()
     except ValueError:
         cap = 0
     if cap < 1:

@@ -241,11 +241,11 @@ def _require_finite(what: str, step: int, t: float, state: np.ndarray) -> None:
 def _phase_points(d: int, x, v, what: str, cap: float | None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The package's one check of a set of phase points: positions and velocities as
-    float ``(n, d)`` arrays, or ``InputError`` naming ``what`` for mismatched shapes, no
-    points, non-finite entries, or (unless ``cap`` is None) a speed that overflows or
-    exceeds ``cap``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
+    float ``(n, d)`` arrays, or ``InputError`` naming ``what`` for ragged or mismatched
+    shapes, no points, non-finite entries, or (unless ``cap`` is None) a speed that
+    overflows or exceeds ``cap``."""
+    x = np.atleast_2d(_float_array(x, f"positions in {what}"))
+    v = np.atleast_2d(_float_array(v, f"velocities in {what}"))
     if x.shape != v.shape or x.ndim != 2 or x.shape[1] != d:
         raise InputError(f"positions {x.shape} and velocities {v.shape} in {what} "
                          f"must share shape (n, {d})")
@@ -260,6 +260,15 @@ def _phase_points(d: int, x, v, what: str, cap: float | None
             limit = "finite" if cap == math.inf else f"at most {cap!r}"
             raise InputError(f"speeds in {what} must be {limit}; max speed {top:.6g}")
     return x, v
+
+
+def _float_array(a, what: str) -> np.ndarray:
+    """``np.asarray(a, dtype=float)``, or ``InputError`` naming ``what`` where numpy refuses
+    (ragged nested lists, entries that are not numbers)."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} is not a regular array of numbers") from None
 
 
 def _max_speed(p: np.ndarray) -> float:

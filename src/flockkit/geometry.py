@@ -160,12 +160,14 @@ def _radial_max(profile, r_lo: float, r_hi: float, n: int = 20001) -> float:
     return float(np.max(profile(r)))
 
 
-def _unit_mass(name: str, value: float, constant) -> float:
-    """``constant()``, or an InputError naming the parameter that leaves it zero or not finite."""
-    with contextlib.suppress(ArithmeticError):  # float arithmetic out of range
+def _derived(name: str, value: float, constant, what: str = "unit-mass normalizer") -> float:
+    """``constant()``, or an InputError naming the parameter that leaves ``what`` zero or
+    not finite."""
+    # float arithmetic out of range, in Python (an exception) or in numpy (a nan or an inf)
+    with contextlib.suppress(ArithmeticError), np.errstate(all="ignore"):
         if 0.0 < (c := constant()) < math.inf:
             return c
-    raise InputError(f"{name} = {value!r} makes the unit-mass normalizer zero or not finite")
+    raise InputError(f"{name} = {value!r} makes the {what} zero or not finite")
 
 
 def _is_canonical_offset(off: np.ndarray) -> bool:
@@ -193,12 +195,12 @@ class CompactBump:
     def __post_init__(self) -> None:
         if self.d < 1 or not self.radius > 0.0:
             raise InputError("CompactBump requires d >= 1 and radius > 0")
-        self.normalizer  # a radius that leaves no finite normalizer fails here
+        self.grad_sup  # a radius that leaves no finite normalizer or gradient bound fails here
 
     @cached_property
     def normalizer(self) -> float:
         # integral of (1 - r/R) over B_R is area(S^{d-1}) * R^d / (d(d+1))
-        return _unit_mass("radius", self.radius, lambda: self.d * (self.d + 1) / (
+        return _derived("radius", self.radius, lambda: self.d * (self.d + 1) / (
             unit_sphere_area(self.d) * self.radius**self.d))
 
     @property
@@ -209,9 +211,10 @@ class CompactBump:
     def sup_upper(self) -> float:
         return self.normalizer
 
-    @property
+    @cached_property
     def grad_sup(self) -> float:
-        return self.normalizer / self.radius
+        return _derived("radius", self.radius, lambda: self.normalizer / self.radius,
+                        "gradient supremum")
 
     @property
     def monotone_radial(self) -> bool:
@@ -265,7 +268,7 @@ class LogGradBounded:
         from scipy.special import kv
         # s = sqrt(1 + r^2), DLMF 10.32.8 and 10.29.4: the integral over r > 0 of
         # exp(-sqrt(1 + r^2)/l) r^(d-1) is Gamma(d/2) (2l)^((d-1)/2) K_{(d+1)/2}(1/l) / sqrt(pi)
-        return _unit_mass("decay", self.decay, lambda: 1.0 / (unit_sphere_area(self.d) * (
+        return _derived("decay", self.decay, lambda: 1.0 / (unit_sphere_area(self.d) * (
             math.gamma(self.d / 2.0) * (2.0 * self.decay) ** ((self.d - 1) / 2.0)
             * float(kv((self.d + 1) / 2.0, 1.0 / self.decay)) / math.sqrt(math.pi))))
 
@@ -377,10 +380,20 @@ class GaussianPeriodized:
     def __post_init__(self) -> None:
         if self.d < 1 or not self.width > 0.0 or not self.period > 0.0:
             raise InputError("GaussianPeriodized requires d >= 1, width > 0, period > 0")
+        # a width or period that leaves a derived constant zero or not finite fails here
+        self._norm1, self.u0, self._mode_exponent
 
-    @property
+    @cached_property
     def _norm1(self) -> float:
-        return 1.0 / math.sqrt(2.0 * math.pi * self.width**2)
+        return _derived("width", self.width,
+                        lambda: 1.0 / math.sqrt(2.0 * math.pi * self.width**2))
+
+    @cached_property
+    def _mode_exponent(self) -> float:
+        """``2 pi^2 w^2 / D^2``: theta-series coefficient ``k`` is ``exp(-a k^2) / D``."""
+        return _derived("period", self.period,
+                        lambda: 2.0 * math.pi**2 * self.width**2 / self.period**2,
+                        "theta-series exponent")
 
     def _image_tail(self, n: int) -> float:
         """Largest omitted term of the lattice sum truncated to ``|image| <= n``."""
@@ -414,7 +427,7 @@ class GaussianPeriodized:
         if (self._n_images < self._auto_images
                 or self._image_tail(self._auto_images) >= _TAIL_TOL):
             return None
-        a = 2.0 * math.pi**2 * self.width**2 / self.period**2
+        a = self._mode_exponent
         k_max = 1
         while math.exp(-a * k_max * k_max) >= _TAIL_TOL:
             k_max += 1
@@ -463,7 +476,8 @@ class GaussianPeriodized:
 
     @cached_property
     def u0(self) -> float:
-        return float(self._theta(np.zeros(1))[0]) ** self.d
+        return _derived("width", self.width,
+                        lambda: float(self._theta(np.zeros(1))[0]) ** self.d, "peak value u0")
 
     @property
     def sup_upper(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from ._kernels import kernel_table
 from .dynamics import ParticleEnsemble, Trajectory, _time_slack
@@ -59,9 +58,17 @@ def build_graph(state: ParticleEnsemble, spec: PotentialSpec,
 
 
 def is_connected(g: CommGraph) -> bool:
-    """Whether the undirected graph has one connected component (self-loops ignored)."""
-    n_components, _ = connected_components(g.adjacency, directed=False)
-    return n_components == 1
+    """Whether the undirected graph has one connected component (self-loops ignored).
+
+    A breadth-first search from vertex 0 over ``a | a.T``; the empty graph is not connected.
+    """
+    a = g.adjacency | g.adjacency.T
+    seen = np.arange(g.n) == 0
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = a[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return g.n > 0 and bool(seen.all())
 
 
 def detect_flocking(traj: Trajectory, spec: PotentialSpec, radius: float,

@@ -27,6 +27,7 @@ from .dynamics import (
     Plain,
     Trajectory,
     _GRID_RTOL,
+    _float_array,
     _grid_indices,
     _grid_steps,
     _phase_points,
@@ -99,9 +100,9 @@ class MeasureCurve:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
+        self.times = _float_array(self.times, "curve times")
+        self.x = _float_array(self.x, "curve positions")
+        self.v = _float_array(self.v, "curve velocities")
         if not (self.x.ndim == self.v.ndim == 3
                 and len(self.x) == len(self.v) == len(self.times)):
             raise InputError("curve arrays must have one (n, d) cloud per grid time")

@@ -301,6 +301,28 @@ class TestMain:
         assert record["error"] == "InputError"
         assert record["message"].startswith(f"{name} = {float(value)!r}")
 
+    @pytest.mark.parametrize("kind,key,value,name", [
+        ("bump", "range", "1e-150", "radius"),  # a finite normalizer, an infinite grad_sup
+        ("gaussian", "range", "1e-300", "width"),
+        ("gaussian", "range", "1e300", "width"),
+        ("gaussian", "size", "1e300", "period"),
+    ])
+    def test_degenerate_derived_constant_is_a_failure_record(self, tmp_path, capsys, kind,
+                                                             key, value, name):
+        # these used to end in a ZeroDivisionError or OverflowError traceback (exit 1),
+        # or in a run over an infinite gradient bound
+        params = {"range": "1.0", "size": "10.0", key: value}
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("kind = free\nd = 2", "kind = torus\nd = 2\n"
+                                            f"size = {params['size']}")
+                            .replace("kind = bump\nrange = 1.0",
+                                     f"kind = {kind}\nrange = {params['range']}"))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InputError"
+        assert record["message"].startswith(f"{name} = {float(value)!r} makes the ")
+
     def test_overflowing_speed_is_a_failure_record(self, tmp_path, capsys):
         # speeds of 1e300 square past the float range: the run used to exit 1 with
         # inf rows in metrics.csv and velocity_ball passed
@@ -382,6 +404,16 @@ class TestDiagnosticToggles:
             monkeypatch.setenv("FLOCKKIT_THREADS", bad)
             with pytest.raises(ConfigError, match=f"FLOCKKIT_THREADS.*{bad!r}"):
                 _workers(8)
+
+    def test_default_worker_cap_follows_cpu_affinity(self, monkeypatch):
+        # os.cpu_count() counts the machine, not the CPUs an affinity limit leaves
+        from flockkit.cli import _workers
+        monkeypatch.delenv("FLOCKKIT_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _workers(8) == 1
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert _workers(8) == 8
 
     def test_json_hook_takes_numpy_values_only(self, tmp_path):
         from flockkit.cli import write_json

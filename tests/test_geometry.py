@@ -403,3 +403,20 @@ class TestSharedProperties:
             for value in (1e-300, 1e300):
                 with pytest.raises(InputError, match=re.escape(f"{name} = {value!r}")):
                     family(d=2, **{name: value})
+
+    @pytest.mark.parametrize("family,kwargs,message", [
+        # a finite normalizer over an infinite gradient bound used to build
+        (CompactBump, {"radius": 1e-150}, "radius = 1e-150 makes the gradient supremum"),
+        # these used to fail later, in a ZeroDivisionError or an OverflowError
+        (GaussianPeriodized, {"width": 1e-300, "period": 10.0},
+         "width = 1e-300 makes the unit-mass normalizer"),
+        (GaussianPeriodized, {"width": 1e300, "period": 10.0},
+         "width = 1e+300 makes the unit-mass normalizer"),
+        (GaussianPeriodized, {"width": 1e-160, "period": 10.0},
+         "width = 1e-160 makes the peak value u0"),
+        (GaussianPeriodized, {"width": 1.0, "period": 1e300},
+         "period = 1e+300 makes the theta-series exponent"),
+    ])
+    def test_derived_constant_refused_when_built(self, family, kwargs, message):
+        with pytest.raises(InputError, match=re.escape(f"{message} zero or not finite")):
+            family(d=2, **kwargs)

@@ -117,6 +117,29 @@ class TestIsConnected:
             power = np.linalg.matrix_power(np.eye(n) + a, n - 1)
             assert is_connected(g) == bool(np.all(power > 0))
 
+    def test_matches_scipy_connected_components(self):
+        # oracle: scipy's undirected component count, on symmetric and asymmetric
+        # adjacency with self-loops and isolated vertices, down to n = 1 and n = 0
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(5)
+        cases = [np.zeros((0, 0), dtype=bool), np.zeros((1, 1), dtype=bool),
+                 np.ones((1, 1), dtype=bool), np.eye(3, dtype=bool),
+                 np.eye(4, k=1, dtype=bool), np.eye(4, k=-2, dtype=bool)]
+        for k in range(400):
+            n = int(rng.integers(1, 30))
+            a = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+            if k % 2:
+                a |= a.T
+            if k % 3 == 0:
+                isolated = rng.integers(n)
+                a[isolated, :] = a[:, isolated] = False
+            cases.append(a)
+        for a in cases:
+            expected = connected_components(a, directed=False)[0] == 1
+            assert is_connected(CommGraph(a)) == expected, a.astype(int)
+        assert not is_connected(CommGraph(np.zeros((0, 0), dtype=bool)))
+
 
 class TestDetectFlocking:
     def test_aligned_connected_cluster_flocks_from_start(self):

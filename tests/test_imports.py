@@ -1,12 +1,15 @@
-"""The import graph: ``scipy.optimize``, ``scipy.spatial`` and ``scipy.special`` load
-only when called, and ``scipy.integrate`` never.
+"""The import graph: ``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial`` and
+``scipy.special`` load only when called, and ``scipy.integrate`` never.
 
 ``import flockkit`` must not load them; the transport distance (Hungarian
 assignment), the kNN entropy (k-d tree, digamma), the reference sampler
 (``gammainc``) and the log-gradient normalizer (``kv``) import them where they
-are called.  The moment check and the normalizer need no quadrature, so the
-particle scenarios load at most ``scipy.special``.  The check runs in a fresh
-interpreter, because this test process has loaded these modules already.
+are called.  Connectivity is a breadth-first search on the dense adjacency, so
+``scipy.sparse`` arrives only with ``scipy.spatial`` or ``scipy.optimize``.  The
+moment check and the normalizer need no quadrature, so the particle scenarios
+(spectrum and graph checks included) load at most ``scipy.special``.  The check
+runs in a fresh interpreter, because this test process has loaded these modules
+already.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import flockkit
 
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.special")
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.spatial", "scipy.special")
 
 SCRIPT = r"""
 import json, sys
@@ -33,6 +36,8 @@ from flockkit.cli import parse_config_text, run_scenario
 out = Path(sys.argv[1])
 run_scenario(parse_config_text(%r), out / "flock")
 loaded("flock-detect")
+run_scenario(parse_config_text(%r), out / "spectrum")
+loaded("spectrum")
 run_scenario(parse_config_text(%r), out / "simulate")
 loaded("simulate")
 
@@ -114,19 +119,40 @@ perturbation = 0.01
 radius = 0.01
 """
 
+# weight-matrix spectra and graph connectivity of random bump configurations
+SPECTRUM = """
+[run]
+scenario = spectrum
+seed = 3
+
+[domain]
+kind = free
+d = 2
+
+[potential]
+kind = bump
+range = 1.0
+
+[spectrum]
+configs = 4
+n = 6
+extent = 1.0
+"""
+
 
 def test_scipy_submodules_load_only_where_called(tmp_path):
     src = str(Path(flockkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = SCRIPT % (DEFERRED, FLOCK, SIMULATE)
+    script = SCRIPT % (DEFERRED, FLOCK, SPECTRUM, SIMULATE)
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     stages = dict(json.loads(line) for line in out.stdout.splitlines())
-    for stage in ("import", "flock-detect"):
+    for stage in ("import", "flock-detect", "spectrum"):
         assert stages[stage] == [], f"loaded after {stage}: {stages[stage]}"
     # kv of the log-gradient normalizer: the particle path needs no other deferred module
     assert stages["simulate"] == ["scipy.special"]
     for stage in ("evolve_cloud", "flow_characteristics"):
         assert stages[stage] == ["scipy.special"], f"loaded after {stage}: {stages[stage]}"
-    assert stages["knn_entropy"] == ["scipy.spatial", "scipy.special"]
-    assert stages["transport_distance"] == ["scipy.optimize", "scipy.spatial", "scipy.special"]
+    assert stages["knn_entropy"] == ["scipy.sparse", "scipy.spatial", "scipy.special"]
+    assert stages["transport_distance"] == ["scipy.optimize", "scipy.sparse", "scipy.spatial",
+                                            "scipy.special"]

@@ -118,6 +118,20 @@ class TestPhasePoints:
         with pytest.raises(InputError):
             PHASE_ENTRY_POINTS[entry](x, v)
 
+    @pytest.mark.parametrize("which", ["times", "positions", "velocities"])
+    def test_ragged_curve_rejected(self, which):
+        # ragged frames given as lists used to raise numpy's "inhomogeneous shape" ValueError
+        args = {"times": [0.0, 1.0], "positions": [np.zeros((2, 2))] * 2,
+                "velocities": [np.zeros((2, 2))] * 2}
+        args[which] = [0.0, [1.0, 2.0]] if which == "times" else [np.zeros((2, 2)),
+                                                                   np.zeros((3, 2))]
+        with pytest.raises(InputError, match=f"curve {which} is not a regular array"):
+            MeasureCurve(TORUS, *args.values())
+
+    def test_ragged_points_rejected(self):
+        with pytest.raises(InputError, match="positions in cloud is not a regular array"):
+            PointCloud(TORUS, [[0.0, 0.0], [1.0]], np.zeros((2, 2)))
+
     def test_curve_names_its_cloud(self):
         x, v = bad_phase_points("MeasureCurve", "speed")
         with pytest.raises(InputError, match=r"speeds in curve cloud at t = 0 must be at most"):
