@@ -45,6 +45,10 @@ __all__ = [
 
 _TAIL_TOL = 1e-14
 _N_MAX_CAP = 8
+# the most theta-series modes a Fourier product can use: one target row's product takes
+# (2K + 1)^d (1 + 2d) multiply-adds, within _kernels._PRODUCT_MACS = 262,144 up to
+# K = 43,690 at d = 1
+_MODE_CAP = 43_690
 
 
 def unit_sphere_area(d: int) -> float:
@@ -170,6 +174,22 @@ def _derived(name: str, value: float, constant, what: str = "unit-mass normalize
     raise InputError(f"{name} = {value!r} makes the {what} zero or not finite")
 
 
+def _bessel_k(nu: float, z: float) -> float:
+    """``K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt`` by the trapezoid rule, which converges
+    geometrically for this even integrand, analytic in a strip (Trefethen & Weideman, SIAM Review
+    56(3), 2014).  With ``q = z (cosh t - 1) = 2 z sinh^2(t/2)`` the factor ``exp(-z)`` comes out;
+    the sum stops once ``exp(nu t - q) < e^-40`` of the ``t = 0`` term, after which ``q - nu t``,
+    being convex, only grows.  ``cosh(nu t)`` may overflow (OverflowError) for K above 1e299."""
+    h, terms, k = min(0.125, 0.25 / math.sqrt(z)), [0.5], 0
+    while True:
+        k += 1
+        t = k * h
+        q = 2.0 * z * math.sinh(0.5 * t) ** 2
+        terms.append(math.exp(-q) * math.cosh(nu * t))
+        if q > nu * t + 40.0:
+            return math.exp(-z) * h * math.fsum(terms)
+
+
 def _is_canonical_offset(off: np.ndarray) -> bool:
     """True for exactly one of every ``{off, -off}`` pair of nonzero offsets."""
     for component in off:
@@ -256,7 +276,8 @@ class LogGradBounded:
             raise InputError("LogGradBounded requires d >= 1 and decay > 0")
         if self.period is not None and not self.period > 0.0:
             raise InputError("period must be positive when given")
-        self.normalizer  # a decay that leaves no finite normalizer fails here
+        # a decay that leaves the normalizer, u0 or the gradient bound zero or not finite fails here
+        self.normalizer, self.u0, self.grad_sup
 
     @property
     def log_grad_bound(self) -> float:
@@ -264,13 +285,12 @@ class LogGradBounded:
 
     @cached_property
     def normalizer(self) -> float:
-        # imported here so that importing flockkit does not load scipy.special
-        from scipy.special import kv
         # s = sqrt(1 + r^2), DLMF 10.32.8 and 10.29.4: the integral over r > 0 of
-        # exp(-sqrt(1 + r^2)/l) r^(d-1) is Gamma(d/2) (2l)^((d-1)/2) K_{(d+1)/2}(1/l) / sqrt(pi)
+        # exp(-sqrt(1 + r^2)/l) r^(d-1) is Gamma(d/2) (2l)^((d-1)/2) K_{(d+1)/2}(1/l) / sqrt(pi),
+        # with K by the quadrature of _bessel_k (within 4e-16 of 40-digit values)
         return _derived("decay", self.decay, lambda: 1.0 / (unit_sphere_area(self.d) * (
             math.gamma(self.d / 2.0) * (2.0 * self.decay) ** ((self.d - 1) / 2.0)
-            * float(kv((self.d + 1) / 2.0, 1.0 / self.decay)) / math.sqrt(math.pi))))
+            * _bessel_k((self.d + 1) / 2.0, 1.0 / self.decay) / math.sqrt(math.pi))))
 
     @cached_property
     def _n_images(self) -> int:
@@ -288,9 +308,10 @@ class LogGradBounded:
     def _offsets(self) -> np.ndarray:
         return _lattice_offsets(self.d, self._n_images) * float(self.period or 0.0)
 
-    @property
+    @cached_property
     def u0(self) -> float:
-        return float(self.values(np.zeros(self.d)))
+        return _derived("decay", self.decay, lambda: float(self.values(np.zeros(self.d))),
+                        "peak value u0")
 
     @property
     def monotone_radial(self) -> bool:
@@ -329,7 +350,8 @@ class LogGradBounded:
         # the gradient profile rises to its argmax, then decays, so its maximum over
         # [r_n, inf) is its value at max(r_n, argmax); free space has r_0 = 0 only
         rn = self._image_distances() if self.period is not None else np.zeros(1)
-        return float(np.sum(self._grad_profile(np.maximum(rn, self._grad_argmax))))
+        return _derived("decay", self.decay, lambda: float(np.sum(self._grad_profile(
+            np.maximum(rn, self._grad_argmax)))), "gradient supremum")
 
     def inf_lower(self, domain: Domain) -> float:
         """Certified lower bound on the infimum of the potential over the domain."""
@@ -422,15 +444,20 @@ class GaussianPeriodized:
         :meth:`values` evaluates is not within that tail of the infinite
         lattice sum (an explicit ``n_max`` below the automatic count, or a
         width beyond the image cap), since the series then describes a
-        different kernel.
+        different kernel, or when ``K`` exceeds ``_MODE_CAP``, more modes
+        than any Fourier product can use.
         """
         if (self._n_images < self._auto_images
                 or self._image_tail(self._auto_images) >= _TAIL_TOL):
             return None
         a = self._mode_exponent
-        k_max = 1
-        while math.exp(-a * k_max * k_max) >= _TAIL_TOL:
+        # K^2 > ln(1e14) / a in closed form, started two below so that the rounded test
+        # itself settles the last steps
+        k_max = max(1, math.ceil(math.sqrt(-math.log(_TAIL_TOL) / a)) - 2)
+        while k_max <= _MODE_CAP and math.exp(-a * k_max * k_max) >= _TAIL_TOL:
             k_max += 1
+        if k_max > _MODE_CAP:
+            return None
         return np.exp(-a * np.arange(k_max + 1.0) ** 2) / self.period
 
     @cached_property
@@ -487,8 +514,13 @@ class GaussianPeriodized:
     @cached_property
     def grad_sup(self) -> float:
         # |partial_c U| <= max|theta'| * theta(0)^(d-1) exactly, by the product
-        # structure; the sqrt(d) factor turns that into a bound on |grad U|
-        tmax = _radial_max(lambda r: np.abs(self._theta_prime(r)), 0.0, self.period / 2.0)
+        # structure; the sqrt(d) factor turns that into a bound on |grad U|.  |theta'|
+        # peaks near s = w, which a grid with fewer than 1000 steps below w under-reads
+        # (by 82% at w = 1e-4, D = 10), so a grid over [0, 3w] joins it there
+        slope = lambda r: np.abs(self._theta_prime(r))
+        tmax = _radial_max(slope, 0.0, self.period / 2.0)
+        if self.width < self.period / 40.0:  # 1000 steps of D / 40000
+            tmax = max(tmax, _radial_max(slope, 0.0, 3.0 * self.width))
         t0 = float(self._theta(np.zeros(1))[0])
         return math.sqrt(self.d) * tmax * t0 ** (self.d - 1)
 

@@ -3,8 +3,9 @@
 The alignment weights form a row-stochastic matrix that is reversible with
 respect to the normalized row masses, so conjugating with the square root
 of that distribution yields a symmetric matrix with the same (real)
-spectrum.  Eigenvalues come from LAPACK's symmetric solver
-(``scipy.linalg.eigvalsh``).  The gap ``1 - lambda_2`` equals the spectral
+spectrum.  Eigenvalues come from LAPACK's symmetric solver through
+``numpy.linalg.eigvalsh`` (tridiagonal reduction, then ``dsterf``), so the
+particle path loads no scipy.  The gap ``1 - lambda_2`` equals the spectral
 gap of the full phase-space generator, whose nonzero eigenvalues are the
 weight eigenvalues shifted by minus one.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from ._kernels import kernel_table
 from .dynamics import DynamicsMode, ParticleEnsemble, Plain, _weighted_average
@@ -88,7 +88,7 @@ def spectrum(m: InteractionMatrix) -> SpectrumReport:
     sym = root[:, None] * m.a / root[None, :]
     residual = float(np.max(np.abs(sym - sym.T)))
     sym = 0.5 * (sym + sym.T)
-    eig = eigvalsh(sym)[::-1]
+    eig = np.linalg.eigvalsh(sym)[::-1]
     gap = float(1.0 - eig[1]) if m.n > 1 else 1.0
     perron_simple = m.n > 1 and (eig[0] - eig[1]) > _SIMPLE_TOL
     return SpectrumReport(eigenvalues=eig, gap=gap, perron_simple=perron_simple,

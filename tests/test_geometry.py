@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import kv
 
 from flockkit import (
     CompactBump,
@@ -18,6 +19,7 @@ from flockkit import (
     potential_grad,
 )
 from flockkit.geometry import (
+    _bessel_k,
     _is_canonical_offset,
     displacement_table,
     unit_sphere_area,
@@ -268,6 +270,20 @@ class TestGaussianPeriodized:
         spec = GaussianPeriodized(d=1, width=5.0, period=1.0)
         assert spec._n_images <= 8
 
+    @pytest.mark.parametrize("width", [1e-4, 1e-5])
+    def test_grad_sup_resolves_a_narrow_peak(self, width):
+        # |theta'| peaks at s = w; a grid over [0, D/2] alone read 4.38e6 against 2.42e7 at
+        # w = 1e-4 and 1.9e-125 at w = 1e-5
+        for d in (1, 2):
+            spec = GaussianPeriodized(d=d, width=width, period=10.0)
+            t0 = float(spec._theta(np.zeros(1))[0])
+            fine = np.max(np.abs(spec._theta_prime(np.linspace(0.0, 3.0 * width, 200_001))))
+            reference = math.sqrt(d) * fine * t0 ** (d - 1)
+            assert spec.grad_sup == pytest.approx(reference, rel=1e-8, abs=0.0)
+            # the exact peak of the one-image slope, norm1 e^(-1/2) / w
+            peak = math.sqrt(d) * spec._norm1 * math.exp(-0.5) / width * t0 ** (d - 1)
+            assert spec.grad_sup == pytest.approx(peak, rel=1e-8, abs=0.0)
+
 
 class TestLogGradBounded:
     @pytest.mark.parametrize("d,decay,reference", [
@@ -282,6 +298,38 @@ class TestLogGradBounded:
         # first three by up to 3e-6 relative
         normalizer = LogGradBounded(d=d, decay=decay).normalizer
         assert normalizer == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 2.5, 3.5])
+    def test_bessel_k_matches_scipy(self, nu):
+        # against 40-digit mpmath values the quadrature is within 4.4e-16 here, and kv within
+        # 1.3e-15 on a dense grid but 2.5e-15 at one point of this one (a reference below);
+        # from z = 665 on kv is off by up to 5e-14, and from about 700 on it returns 0
+        for z in np.concatenate([np.geomspace(1e-60, 1e-3, 60), np.geomspace(1e-3, 660.0, 400)]):
+            reference = kv(nu, z)
+            assert 0.0 < reference < math.inf
+            assert _bessel_k(nu, float(z)) == pytest.approx(reference, rel=3e-15, abs=0.0)
+
+    @pytest.mark.parametrize("nu,z,reference", [
+        (1.0, 1.97825845772281, 0.1439263738191714797),
+        (1.0, 670.0, 5.1046098726352701407e-293),
+        (1.5, 685.0, 1.5457102727884846515e-299),
+        (2.0, 695.0, 6.9754692535162451016e-304),
+        (2.5, 700.0, 4.6906552946489206215e-306),
+    ])
+    def test_bessel_k_where_scipy_loses_digits(self, nu, z, reference):
+        # 20 digits of K_nu(z) from 40-digit mpmath
+        assert _bessel_k(nu, z) == pytest.approx(reference, rel=5e-16, abs=0.0)
+
+    def test_normalizer_bits_of_the_shipped_decay(self):
+        # the spectrum config's d = 2, decay = 1: the bits kv gave
+        assert LogGradBounded(d=2, decay=1.0).normalizer == 0.21631399485806624
+
+    def test_vanishing_gradient_bound_refused(self):
+        # the normalizer is finite (5e-201), the gradient bound underflowed to 0.0 and
+        # still built, yet it is used as an upper bound
+        with pytest.raises(InputError,
+                           match=re.escape("decay = 1e+200 makes the gradient supremum zero")):
+            LogGradBounded(d=1, decay=1e200)
 
     @pytest.mark.parametrize("decay,period", [
         (0.05, None), (0.3, None), (1.0, None), (4.0, None), (1.0, 10.0), (0.5, 3.0),

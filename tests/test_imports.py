@@ -1,15 +1,19 @@
-"""The import graph: ``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial`` and
-``scipy.special`` load only when called, and ``scipy.integrate`` never.
+"""The import graph: the particle scenarios load no scipy at all, and
+``scipy.linalg``, ``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial`` and
+``scipy.special`` load only where the kinetic diagnostics call them;
+``scipy.integrate`` never loads.
 
-``import flockkit`` must not load them; the transport distance (Hungarian
-assignment), the kNN entropy (k-d tree, digamma), the reference sampler
-(``gammainc``) and the log-gradient normalizer (``kv``) import them where they
-are called.  Connectivity is a breadth-first search on the dense adjacency, so
-``scipy.sparse`` arrives only with ``scipy.spatial`` or ``scipy.optimize``.  The
-moment check and the normalizer need no quadrature, so the particle scenarios
-(spectrum and graph checks included) load at most ``scipy.special``.  The check
-runs in a fresh interpreter, because this test process has loaded these modules
-already.
+``import flockkit`` must not load any of them.  The spectrum goes through
+``numpy.linalg.eigvalsh``, connectivity is a breadth-first search on the dense
+adjacency, the log-gradient normalizer evaluates ``K_nu`` by its own
+quadrature, and the moment check sums the cumulative Simpson rule in the
+package; so ``simulate``, ``flock-detect`` and ``spectrum``, and the cloud
+evolution and characteristics, import no scipy module.  The transport distance
+(Hungarian assignment), the kNN entropy (k-d tree, digamma) and the reference
+sampler (``gammainc``) import theirs where they are called, and
+``scipy.linalg`` and ``scipy.sparse`` arrive with ``scipy.spatial`` or
+``scipy.optimize``.  The check runs in a fresh interpreter, because this test
+process has loaded these modules already.
 """
 
 import json
@@ -20,14 +24,16 @@ from pathlib import Path
 
 import flockkit
 
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.spatial", "scipy.special")
+DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.spatial",
+            "scipy.special")
 
 SCRIPT = r"""
 import json, sys
 from pathlib import Path
 
 def loaded(stage):
-    print(json.dumps([stage, [m for m in %r if m in sys.modules]]), flush=True)
+    scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    print(json.dumps([stage, [[m for m in %r if m in sys.modules], scipy]]), flush=True)
 
 import flockkit, flockkit.cli
 loaded("import")
@@ -147,12 +153,11 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     stages = dict(json.loads(line) for line in out.stdout.splitlines())
-    for stage in ("import", "flock-detect", "spectrum"):
-        assert stages[stage] == [], f"loaded after {stage}: {stages[stage]}"
-    # kv of the log-gradient normalizer: the particle path needs no other deferred module
-    assert stages["simulate"] == ["scipy.special"]
-    for stage in ("evolve_cloud", "flow_characteristics"):
-        assert stages[stage] == ["scipy.special"], f"loaded after {stage}: {stages[stage]}"
-    assert stages["knn_entropy"] == ["scipy.sparse", "scipy.spatial", "scipy.special"]
-    assert stages["transport_distance"] == ["scipy.optimize", "scipy.sparse", "scipy.spatial",
-                                            "scipy.special"]
+    # the particle scenarios and the cloud evolution: no scipy module at all
+    for stage in ("import", "flock-detect", "spectrum", "simulate", "evolve_cloud",
+                  "flow_characteristics"):
+        assert stages[stage] == [[], False], f"loaded after {stage}: {stages[stage]}"
+    assert stages["knn_entropy"] == [["scipy.linalg", "scipy.sparse", "scipy.spatial",
+                                      "scipy.special"], True]
+    assert stages["transport_distance"] == [["scipy.linalg", "scipy.optimize", "scipy.sparse",
+                                             "scipy.spatial", "scipy.special"], True]

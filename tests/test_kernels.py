@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flockkit import (CompactBump, FreeSpace, GaussianPeriodized, InputError, LogGradBounded,
-                      Torus, _kernels)
+                      Torus, _kernels, geometry)
 
 RTOL = 1e-12
 EPS = np.finfo(float).eps
@@ -263,6 +264,58 @@ def test_mode_count_follows_the_tail_rule():
     phase = 2.0 * np.pi * np.outer(s, np.arange(1, 14)) / 10.0
     series = modes[0] + 2.0 * np.cos(phase) @ modes[1:]
     np.testing.assert_allclose(series, spec._theta(s), rtol=1e-13, atol=1e-16)
+
+
+def loop_mode_count(a):
+    """The smallest ``K >= 1`` with ``exp(-a K^2) < 1e-14``, counted one mode at a time."""
+    k_max = 1
+    while math.exp(-a * k_max * k_max) >= 1e-14:
+        k_max += 1
+    return k_max
+
+
+@pytest.mark.parametrize("period", [1.0, 5.0, 7.3, 10.0])
+def test_closed_form_mode_count_matches_the_loop(period):
+    # from K = 1 through the cap at K = 43,690; narrower widths build no coefficients
+    seen_cap = seen_under = 0
+    for width in np.geomspace(1e-5 * period, 0.3 * period, 250):
+        spec = GaussianPeriodized(d=1, width=float(width), period=period)
+        k_loop = loop_mode_count(spec._mode_exponent)
+        modes = spec._fourier_modes
+        if k_loop > geometry._MODE_CAP:
+            assert modes is None
+            seen_cap += 1
+        else:
+            assert len(modes) - 1 == k_loop
+            seen_under += 1
+    assert seen_cap and seen_under
+
+
+def test_mode_cap_is_the_widest_fourier_product():
+    # (2K + 1)^d (1 + 2d) multiply-adds per target row is least at d = 1
+    cap = geometry._MODE_CAP
+    assert (2 * cap + 1) * 3 <= _kernels._PRODUCT_MACS < (2 * cap + 3) * 3
+    # the widths whose tail rule gives K = cap and K = cap + 1
+    for k_max in (cap, cap + 1):
+        a = -math.log(1e-14) / (k_max - 0.5) ** 2
+        spec = GaussianPeriodized(d=1, width=10.0 * math.sqrt(a / (2.0 * math.pi**2)), period=10.0)
+        assert loop_mode_count(spec._mode_exponent) == k_max
+        modes = spec._fourier_modes
+        assert (modes is None) if k_max > cap else (len(modes) == cap + 1)
+
+
+def test_narrow_gaussian_builds_and_sums_directly():
+    # K would be about 1.3e9 at w = 1e-8 on the 10-torus (a 10 GB coefficient array)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 10.0, (20, 1))
+    v = rng.uniform(-0.5, 0.5, (20, 1))
+    start = time.perf_counter()
+    spec = GaussianPeriodized(d=1, width=1e-8, period=10.0)
+    assert spec._fourier_modes is None
+    den, s, ran = sums_with_path(spec, Torus(1, 10.0), x, v, x, v)
+    assert time.perf_counter() - start < 1.0
+    assert ran["direct"] == 1 and ran["fourier"] == 0
+    assert oracle_error(spec, Torus(1, 10.0), x, v, x, v, den, s, range(20)) <= RTOL
 
 
 SMALL_FAMILIES = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flockkit import (
     CompactBump,
@@ -51,6 +52,20 @@ class TestSpectrumOracle:
             assert eig.shape == (n,)
             assert np.all(np.diff(eig) <= 0.0)
             assert np.max(np.abs(eig - eigvals_oracle(m))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 20, 50, 120])
+    def test_matches_scipy_symmetric_solver(self, n):
+        # numpy's and scipy's LAPACK drivers reduce to the same tridiagonal form but may
+        # differ in the last bits
+        rng = np.random.default_rng(n)
+        for spec, mode in ((LogGradBounded(d=2, decay=1.0), Plain()),
+                           (CompactBump(d=2, radius=1.0), Regularized(0.1))):
+            m = interaction_matrix(positions_state(rng.uniform(0.0, 0.3 * n ** 0.5, (n, 2))),
+                                   spec, mode)
+            root = np.sqrt(m.stationary)
+            sym = root[:, None] * m.a / root[None, :]
+            reference = scipy.linalg.eigvalsh(0.5 * (sym + sym.T))[::-1]
+            np.testing.assert_allclose(spectrum(m).eigenvalues, reference, rtol=0.0, atol=1e-13)
 
     def test_one_by_one(self):
         m = interaction_matrix(positions_state([[0.3, -0.2]]), CompactBump(d=2, radius=1.0))
