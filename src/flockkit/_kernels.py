@@ -57,15 +57,11 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Domain, GaussianPeriodized, PotentialSpec, Torus, displacement_table
+from .geometry import (_PRODUCT_MACS, Domain, GaussianPeriodized, PotentialSpec, Torus,
+                       displacement_table)
 
 # target number of pair-table elements held at once (per chunk)
 _CHUNK_ELEMS = 4_000_000
-# multiply-adds per matrix product on the direct and Fourier paths;
-# products this small stay on one OpenBLAS thread (its threshold is
-# M N K > 4 * 65536), which keeps the sums independent of the BLAS thread
-# count
-_PRODUCT_MACS = 262_144
 # bound on |error| / (eps u0 sum_j |col_j|) of a Fourier-weighted column sum
 # (checked by the kernel tests), and the relative accuracy rows must keep
 _FOURIER_ERR = 64.0

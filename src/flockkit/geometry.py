@@ -45,10 +45,14 @@ __all__ = [
 
 _TAIL_TOL = 1e-14
 _N_MAX_CAP = 8
+# multiply-adds per matrix product on the direct and Fourier paths of _kernels;
+# products this small stay on one OpenBLAS thread (its threshold is
+# M N K > 4 * 65536), which keeps the sums independent of the BLAS thread
+# count
+_PRODUCT_MACS = 262_144
 # the most theta-series modes a Fourier product can use: one target row's product takes
-# (2K + 1)^d (1 + 2d) multiply-adds, within _kernels._PRODUCT_MACS = 262,144 up to
-# K = 43,690 at d = 1
-_MODE_CAP = 43_690
+# (2K + 1)^d (1 + 2d) multiply-adds, 3 (2K + 1) at d = 1, where K can go furthest
+_MODE_CAP = (_PRODUCT_MACS // 3 - 1) // 2
 
 
 def unit_sphere_area(d: int) -> float:
@@ -179,8 +183,11 @@ def _bessel_k(nu: float, z: float) -> float:
     geometrically for this even integrand, analytic in a strip (Trefethen & Weideman, SIAM Review
     56(3), 2014).  With ``q = z (cosh t - 1) = 2 z sinh^2(t/2)`` the factor ``exp(-z)`` comes out;
     the sum stops once ``exp(nu t - q) < e^-40`` of the ``t = 0`` term, after which ``q - nu t``,
-    being convex, only grows.  ``cosh(nu t)`` may overflow (OverflowError) for K above 1e299."""
+    being convex, only grows.  ``cosh(nu t)`` may overflow (OverflowError) for K above 1e299,
+    and an infinite ``z`` leaves no step (OverflowError too)."""
     h, terms, k = min(0.125, 0.25 / math.sqrt(z)), [0.5], 0
+    if not h > 0.0:
+        raise OverflowError(f"no trapezoid step for K_nu({z!r})")
     while True:
         k += 1
         t = k * h

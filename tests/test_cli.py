@@ -287,11 +287,12 @@ class TestMain:
         assert record == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("value", ["1e-300", "1e-310", "1e300"])
     @pytest.mark.parametrize("kind,name", [("bump", "radius"), ("loggrad", "decay")])
     def test_degenerate_range_is_a_failure_record(self, tmp_path, capsys, kind, name, value):
         # the normalizer used to end in a ZeroDivisionError or OverflowError
-        # traceback (exit 1), or in a run over a meaningless constant
+        # traceback (exit 1), or in a run over a meaningless constant; decay = 1e-310
+        # (1 / decay overflows to inf) used to loop without end in the K_nu quadrature
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL.replace("kind = bump\nrange = 1.0",
                                             f"kind = {kind}\nrange = {value}"))

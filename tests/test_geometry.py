@@ -455,6 +455,9 @@ class TestSharedProperties:
     @pytest.mark.parametrize("family,kwargs,message", [
         # a finite normalizer over an infinite gradient bound used to build
         (CompactBump, {"radius": 1e-150}, "radius = 1e-150 makes the gradient supremum"),
+        # 1 / decay overflows to inf, where the quadrature of K_nu has no step (it used to
+        # loop without end)
+        (LogGradBounded, {"decay": 1e-310}, "decay = 1e-310 makes the unit-mass normalizer"),
         # these used to fail later, in a ZeroDivisionError or an OverflowError
         (GaussianPeriodized, {"width": 1e-300, "period": 10.0},
          "width = 1e-300 makes the unit-mass normalizer"),
