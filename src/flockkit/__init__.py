@@ -13,7 +13,6 @@ from .dynamics import (
     Plain,
     Regularized,
     Trajectory,
-    barycenter_project,
     check_mean_velocity_ball,
     check_velocity_ball,
     default_dt,
@@ -35,9 +34,6 @@ from .geometry import (
     GaussianPeriodized,
     LogGradBounded,
     Torus,
-    displacement,
-    potential_eval,
-    potential_grad,
     wrap_positions,
 )
 from .graph import CommGraph, FlockReport, build_graph, detect_flocking, is_connected
@@ -51,7 +47,6 @@ from .kinetic import (
     lipschitz_probe,
     mean_field_batch,
     mean_field_convergence,
-    mean_field_M,
     picard_iterate,
     stability_bound_check,
     transport_distance,
@@ -67,11 +62,9 @@ from .spectral import (
     InteractionMatrix,
     SpectrumReport,
     b_norm_check,
-    c_matrix_gap,
     interaction_matrix,
     operator_norm,
     spectrum,
-    velocity_projector,
 )
 
 __version__ = "0.1.0"

@@ -488,11 +488,13 @@ def _run_flock_detect(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
+    n = cfg.get("spectrum", "n")
+    if n < 2:
+        raise ConfigError(f"spectrum.n = {n} must be at least 2: the gap needs lambda_2")
     domain, field = _build_field(cfg)
     spec, mode = field.spec, field.mode
     rng = _rng(cfg, SEED_PROBE)
     n_cfg = cfg.get("spectrum", "configs")
-    n = cfg.get("spectrum", "n")
     extent = cfg.get("spectrum", "extent") * dynamics.interaction_range(spec)
 
     rows = []
@@ -653,11 +655,12 @@ def _run_picard(cfg: RunConfig, out: Path) -> dict:
 
 def _entropy_curve(cfg: RunConfig, section: str, domain, field, horizon: float):
     """A cloud from the section's reference density, evolved up to ``horizon``."""
+    curve_dt = cfg.get(section, "curve_dt")
+    # a horizon off the curve_dt grid, or of too many steps, is refused before any work
+    steps = dynamics._grid_steps(horizon, curve_dt, "curve horizon")
     curve_cloud = _sampled_cloud(domain, *_reference_density(cfg, section),
                                  cfg.get(section, "curve_n"), _rng(cfg, SEED_SAMPLE))
-    curve_dt = cfg.get(section, "curve_dt")
-    # every tenth step; evolve_cloud rejects a horizon off the curve_dt grid
-    save = [k * (10.0 * curve_dt) for k in range(round(horizon / curve_dt) // 10 + 1)]
+    save = [k * (10.0 * curve_dt) for k in range(steps // 10 + 1)]  # every tenth step
     return kinetic.evolve_cloud(curve_cloud, field, horizon, curve_dt,
                                 save_times=save)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import Torus, unit_ball_volume
+from .geometry import Torus, _derived, unit_ball_volume
 from .kinetic import FieldSpec, MeasureCurve, _overlap_fraction, flow_characteristics
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
     "MomentReport",
     "moment_diagnostics",
 ]
+
+# the least acceptance mass of the reference density's rejection sampler: below it
+# the sampler would draw more than a thousand candidates per kept velocity
+_MIN_MASS = 1e-3
+
 
 @dataclass
 class JacobianReport:
@@ -113,9 +118,12 @@ def knn_entropy(points: np.ndarray, k: int = 4,
         wrapped[wrapped == boxsize[periodic]] = 0.0
         pts[:, periodic] = wrapped
 
-    # imported here so that importing flockkit does not load scipy.spatial or scipy.special
-    from scipy.spatial import cKDTree
-    from scipy.special import digamma
+    try:  # imported here so that importing flockkit does not load scipy.spatial or scipy.special
+        from scipy.spatial import cKDTree
+        from scipy.special import digamma
+    except ImportError:
+        raise ConfigError("the k-nearest-neighbour entropy needs scipy, which is not "
+                          "installed") from None
     # the point itself is its own nearest neighbour, at distance zero
     radii, _ = cKDTree(pts, boxsize=boxsize).query(pts, k=[k + 1])
     radii = np.clip(radii[:, 0], 1e-300, None)
@@ -187,12 +195,19 @@ def torus_gaussian_sampler(domain: Torus, sigma: float, v_cap: float = 0.95):
         raise ConfigError("reference sampler is defined on a torus domain")
     if not 0.0 < v_cap < 1.0:
         raise ConfigError(f"velocity cap must sit inside the unit ball, got {v_cap}")
-    # imported here so that importing flockkit does not load scipy.special
-    from scipy.special import gammainc
+    try:  # imported here so that importing flockkit does not load scipy.special
+        from scipy.special import gammainc
+    except ImportError:
+        raise ConfigError("the reference density needs scipy, which is not installed") from None
     d = domain.d
+    two_pi_var = _derived("sigma", sigma, lambda: 2.0 * math.pi * sigma**2, "Gaussian normalizer")
     # mass of N(0, sigma^2 I_d) inside the cap ball, via the chi-square law
-    mass = float(gammainc(d / 2.0, v_cap**2 / (2.0 * sigma**2)))
-    log_z = (d / 2.0) * math.log(2.0 * math.pi * sigma**2) + math.log(mass)
+    mass = _derived("v_cap", v_cap, lambda: float(gammainc(d / 2.0, v_cap**2 / (2.0 * sigma**2))),
+                    "acceptance mass")
+    if mass < _MIN_MASS:
+        raise InputError(f"sigma = {sigma!r} and v_cap = {v_cap!r} leave an acceptance mass of "
+                         f"{mass:.3g}, below {_MIN_MASS!r}: rejection sampling would not end")
+    log_z = (d / 2.0) * math.log(two_pi_var) + math.log(mass)
     log_x = -d * math.log(domain.size)
 
     def sampler(M: int, rng: np.random.Generator):

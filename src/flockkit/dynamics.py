@@ -32,7 +32,6 @@ __all__ = [
     "Trajectory",
     "rhs",
     "integrate",
-    "barycenter_project",
     "dist_to_manifold",
     "check_velocity_ball",
     "check_mean_velocity_ball",
@@ -42,6 +41,8 @@ __all__ = [
 _DEN_FLOOR = 1e-30
 # relative tolerance on (span / dt) being a whole number of steps
 _GRID_RTOL = 1e-9
+# the most steps on one grid: beyond 2^53 a step index k, and so k dt, is no longer exact
+_MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,14 @@ def _rk4_steps(accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def _grid_steps(span: float, dt: float, name: str) -> int:
     """Number of ``dt`` steps in ``span``; ``InputError`` unless it is a whole number >= 0,
-    and zero only for a span of exactly 0 (a span far below ``dt`` is off the grid)."""
+    at most ``_MAX_STEPS``, and zero only for a span of exactly 0 (a span far below ``dt``
+    is off the grid)."""
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
     ratio = span / dt
+    if not abs(ratio) <= _MAX_STEPS:
+        raise InputError(f"{name} = {span!r} takes {ratio!r} steps of dt = {dt!r}, more than "
+                         "2^53, where step times are no longer exact")
     steps = int(round(ratio))
     if (steps < 0 or (steps == 0 and span != 0.0)
             or abs(ratio - steps) > _GRID_RTOL * max(1.0, abs(ratio))):
@@ -334,13 +339,6 @@ def integrate(w0: ParticleEnsemble, spec: PotentialSpec, mode: DynamicsMode,
         max_speed_overall=max_speed,
         dt=dt,
     )
-
-
-def barycenter_project(p: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the subspace of equal rows."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    mean = p.mean(axis=0)
-    return np.tile(mean, (p.shape[0], 1))
 
 
 def dist_to_manifold(state: ParticleEnsemble) -> float:

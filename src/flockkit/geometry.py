@@ -12,6 +12,12 @@ and normalized so the free-space integral equals one:
   periodized over a torus lattice.
 * :class:`GaussianPeriodized` -- Gaussian of width ``R`` summed over the
   torus lattice, truncated once the omitted tail is below ``1e-14``.
+
+Each family states the constants the kinetic bounds ask of it: ``u0``,
+``sup_upper``, ``grad_sup``, ``inf_lower(domain)`` and
+``lipschitz_lemma(epsilon, domain)``, the name and constant of the Lipschitz
+lemma its averaged field satisfies at regularization ``epsilon`` (0 in plain
+mode), or None where no lemma covers it.
 """
 
 from __future__ import annotations
@@ -34,11 +40,8 @@ __all__ = [
     "LogGradBounded",
     "GaussianPeriodized",
     "PotentialSpec",
-    "displacement",
     "displacement_table",
     "wrap_positions",
-    "potential_eval",
-    "potential_grad",
     "unit_ball_volume",
     "unit_sphere_area",
 ]
@@ -95,29 +98,6 @@ class Torus:
 
 
 Domain = Union[FreeSpace, Torus]
-
-
-def _check_vector(domain: Domain, x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (domain.d,):
-        raise InputError(
-            f"{name} has shape {x.shape}, expected ({domain.d},) for this domain"
-        )
-    return x
-
-
-def displacement(domain: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Displacement ``x - y`` respecting the domain topology.
-
-    On the torus every component is reduced to the minimum image, which
-    lies in ``[-size/2, size/2]``.
-    """
-    x = _check_vector(domain, x, "x")
-    y = _check_vector(domain, y, "y")
-    delta = x - y
-    if isinstance(domain, Torus):
-        delta -= domain.size * np.rint(delta / domain.size)
-    return delta
 
 
 def displacement_table(domain: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,6 +231,14 @@ class CompactBump:
     def period(self) -> float | None:
         return None
 
+    def inf_lower(self, domain: Domain) -> float:
+        return 0.0  # a lower bound for every compactly supported family
+
+    def lipschitz_lemma(self, epsilon: float, domain: Domain) -> tuple[str, float] | None:
+        if epsilon and self.grad_sup <= 1.0 + 1e-12:
+            return "regularized", 2.0 / epsilon
+        return None
+
     def values(self, delta: np.ndarray) -> np.ndarray:
         """Evaluate on displacement vectors with shape ``(..., d)``."""
         r = np.sqrt(_squared_norm(delta))
@@ -366,6 +354,11 @@ class LogGradBounded:
             return 0.0
         r_far = math.sqrt(domain.d) * domain.size / 2.0
         return float(self._profile(np.array([r_far]))[0])
+
+    def lipschitz_lemma(self, epsilon: float, domain: Domain) -> tuple[str, float] | None:
+        if not epsilon and self.period:
+            return "log-grad-bounded", 2.0 * self.log_grad_bound
+        return None
 
     def values(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
@@ -541,6 +534,11 @@ class GaussianPeriodized:
             return 0.0
         return float(self._theta(np.array([domain.size / 2.0]))[0]) ** self.d
 
+    def lipschitz_lemma(self, epsilon: float, domain: Domain) -> tuple[str, float] | None:
+        if not epsilon and isinstance(domain, Torus):
+            return "gaussian-periodized", domain.size / self.width**2
+        return None
+
     def values(self, delta: np.ndarray) -> np.ndarray:
         delta = np.asarray(delta, dtype=float)
         # one pass over all coordinate planes, then their product in coordinate order
@@ -566,24 +564,6 @@ class GaussianPeriodized:
 PotentialSpec = Union[CompactBump, LogGradBounded, GaussianPeriodized]
 
 
-def potential_eval(spec: PotentialSpec, r: np.ndarray) -> float:
-    """Evaluate the interaction at displacement ``r`` (nonnegative scalar)."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (spec.d,):
-        raise InputError(f"displacement has shape {r.shape}, expected ({spec.d},)")
-    return float(spec.values(r[None, :])[0])
-
-
-def potential_grad(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`potential_eval` at displacement ``r``."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (spec.d,):
-        raise InputError(f"displacement has shape {r.shape}, expected ({spec.d},)")
-    return spec.grad(r)
-
-
 def potential_inf_lower(spec: PotentialSpec, domain: Domain) -> float:
-    """Lower bound on ``inf U`` over the domain (zero in free space or for compact support)."""
-    if isinstance(spec, CompactBump):
-        return 0.0
+    """Lower bound on ``inf U`` over the domain: the family's own ``inf_lower``."""
     return spec.inf_lower(domain)

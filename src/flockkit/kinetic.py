@@ -25,7 +25,6 @@ from ._kernels import alignment_sums
 from .dynamics import (
     DynamicsMode,
     Plain,
-    Trajectory,
     _GRID_RTOL,
     _float_array,
     _grid_indices,
@@ -37,10 +36,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DegenerateInputError, InputError, NumericalError
 from .geometry import (
-    CompactBump,
     Domain,
-    GaussianPeriodized,
-    LogGradBounded,
     PotentialSpec,
     Torus,
     _squared_norm,
@@ -53,7 +49,6 @@ __all__ = [
     "MeasureCurve",
     "FieldSpec",
     "FieldConstants",
-    "mean_field_M",
     "mean_field_batch",
     "lipschitz_probe",
     "LipschitzReport",
@@ -121,15 +116,6 @@ class MeasureCurve:
         idx = int(np.searchsorted(self.times, t + _time_slack(self.times), side="right") - 1)
         return min(max(idx, 0), len(self.times) - 1)
 
-    def cloud_at(self, t: float) -> PointCloud:
-        k = self.index_at(t)
-        return PointCloud(self.domain, self.x[k].copy(), self.v[k].copy())
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "MeasureCurve":
-        return cls(domain=traj.domain, times=traj.times.copy(),
-                   x=traj.q.copy(), v=traj.p.copy())
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -187,20 +173,14 @@ def _field_rhs(x: np.ndarray, v: np.ndarray, cloud_x: np.ndarray, cloud_v: np.nd
     return _weighted_average(den, s, eps_total)
 
 
-def mean_field_M(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
-                 field: FieldSpec) -> np.ndarray:
-    """Mean-field velocity increment at one phase point; bounded by two.
+def mean_field_batch(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
+                     field: FieldSpec) -> np.ndarray:
+    """Mean-field velocity increment at each row of ``x`` and ``v``, which must be phase
+    points (finite, velocities in the unit ball); bounded by two.
 
     Uses the literal regularized display (weighted average velocity over the
     regularized mass, minus ``v``), which returns ``-v`` at zero overlap.
     """
-    return mean_field_batch(np.reshape(x, (1, -1)), np.reshape(v, (1, -1)), cloud, field)[0]
-
-
-def mean_field_batch(x: np.ndarray, v: np.ndarray, cloud: PointCloud,
-                     field: FieldSpec) -> np.ndarray:
-    """Vectorized :func:`mean_field_M` over rows of ``x`` and ``v``, which must be
-    phase points (finite, velocities in the unit ball)."""
     _validate_field(field, cloud.domain)
     x, v = _phase_points(cloud.domain.d, x, v, "mean-field targets", _UNIT_BALL)
     return _field_rhs(x, v, cloud.x, cloud.v, field, cloud.domain, literal=True)
@@ -413,10 +393,17 @@ def transport_distance(a: PointCloud, b: PointCloud, max_points: int = 2000,
         a = _subsample(a, m, rng)
     if b.n != m:
         b = _subsample(b, m, rng)
-    # imported here so that importing flockkit does not load scipy.optimize
-    from scipy.optimize import linear_sum_assignment
+    try:  # imported here so that importing flockkit does not load scipy.optimize
+        from scipy.optimize import linear_sum_assignment
+    except ImportError:
+        raise ConfigError("the transport distance needs scipy, which is not installed") from None
     cost = _phase_cost(a, b)
-    rows, cols = linear_sum_assignment(cost)
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError as exc:  # an infinite or nan cost, from positions beyond float reach
+        reach = max(np.abs(a.x).max(), np.abs(b.x).max())
+        raise NumericalError(f"transport cost between clouds of {m} points with positions "
+                             f"up to {reach:.3g} is not finite ({exc})") from None
     w1 = float(cost[rows, cols].mean())
     return min(w1, 1.0)
 
@@ -562,27 +549,18 @@ class FieldConstants:
 
 def field_constants(field: FieldSpec, domain: Domain) -> FieldConstants:
     """Lipschitz constant, field-drift constant and mass lower bound for a field."""
-    spec = field.spec
-    if isinstance(field.mode, Plain):
+    spec, eps = field.spec, field.mode.epsilon
+    if not eps:
         _validate_field(field, domain)
-        if isinstance(spec, LogGradBounded) and spec.period:
-            lemma, L = "log-grad-bounded", 2.0 * spec.log_grad_bound
-        elif isinstance(spec, GaussianPeriodized):
-            lemma, L = "gaussian-periodized", domain.size / spec.width**2
-        else:
-            raise ConfigError("no Lipschitz constant known for this plain-mode field")
-        a = potential_inf_lower(spec, domain)
-    else:
-        if isinstance(spec, CompactBump) and spec.grad_sup <= 1.0 + 1e-12:
-            lemma, L = "regularized", 2.0 / field.mode.epsilon
-        else:
-            raise ConfigError(
-                "regularized Lipschitz constant requires compact support with "
-                "gradient supremum at most one"
-            )
-        a = field.mode.epsilon
+    lemma = spec.lipschitz_lemma(eps, domain)
+    if lemma is None:
+        raise ConfigError(
+            "regularized Lipschitz constant requires compact support with gradient "
+            "supremum at most one" if eps else
+            "no Lipschitz constant known for this plain-mode field")
+    a = eps or potential_inf_lower(spec, domain)
     c0 = 2.0 * domain.d * (spec.grad_sup + spec.sup_upper)
-    return FieldConstants(lemma=lemma, L=L, c0=c0, a=a)
+    return FieldConstants(*lemma, c0=c0, a=a)
 
 
 @dataclass

@@ -20,15 +20,12 @@ from ._kernels import kernel_table
 from .dynamics import DynamicsMode, ParticleEnsemble, Plain, _weighted_average
 from .errors import InputError, NumericalError, PreconditionError
 from .geometry import FreeSpace, PotentialSpec, displacement_table
-from .graph import CommGraph, is_connected
 
 __all__ = [
     "InteractionMatrix",
     "SpectrumReport",
     "interaction_matrix",
     "spectrum",
-    "c_matrix_gap",
-    "velocity_projector",
     "BNormReport",
     "b_norm_check",
     "operator_norm",
@@ -93,28 +90,6 @@ def spectrum(m: InteractionMatrix) -> SpectrumReport:
     perron_simple = m.n > 1 and (eig[0] - eig[1]) > _SIMPLE_TOL
     return SpectrumReport(eigenvalues=eig, gap=gap, perron_simple=perron_simple,
                           max_imag_residual=residual)
-
-
-def c_matrix_gap(report: SpectrumReport) -> float:
-    """Spectral gap of the phase-space generator: smallest ``|Re|`` of its
-    negative spectrum, which equals ``1 - lambda_2`` of the weight matrix."""
-    if not report.perron_simple:
-        raise PreconditionError(
-            "spectral gap undefined: leading eigenvalue is not simple (reducible weights)"
-        )
-    return report.gap
-
-
-def velocity_projector(m: InteractionMatrix) -> np.ndarray:
-    """Rank-one projector onto the aligned velocity mode.
-
-    Built from the right eigenvector of ones and the stationary left
-    eigenvector; applied per velocity component, its complement isolates
-    the decaying modes.
-    """
-    if not is_connected(CommGraph(m.a > 0.0)):
-        raise PreconditionError("projector requires an irreducible weight matrix")
-    return np.outer(np.ones(m.n), m.stationary)
 
 
 def operator_norm(b: np.ndarray) -> float:

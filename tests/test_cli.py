@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -614,3 +617,88 @@ class TestConvergeRunner:
             run_scenario(cfg, tmp_path / "serial")
         pooled = (tmp_path / "pooled" / "convergence.csv").read_bytes()
         assert (tmp_path / "serial" / "convergence.csv").read_bytes() == pooled
+
+
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """Config ``text`` with ``key = value`` in ``[section]``, in place of any line setting it."""
+    head = f"[{section}]\n"
+    if head not in text:
+        return f"{text}\n{head}{key} = {value}\n"
+    before, _, rest = text.partition(head)
+    body, sep, after = rest.partition("\n[")
+    body = "\n".join(line for line in body.splitlines() if line.partition("=")[0].strip() != key)
+    return f"{before}{head}{key} = {value}\n{body}{sep}{after}"
+
+
+TORUS_GAUSS = MINIMAL.replace("kind = free\nd = 2", "kind = torus\nd = 2\nsize = 5.0") \
+    .replace("kind = bump", "kind = gaussian")
+KINETIC = ("converge", "stability", "picard", "entropy", "jacobian")
+_TOO_MANY_STEPS = "steps of dt = .*, more than 2\\^53, where step times are no longer exact"
+_REFUSED = [
+    ("spectrum", MINIMAL, "spectrum", "n", "1", "ConfigError",
+     "spectrum.n = 1 must be at least 2: the gap needs lambda_2"),
+    *[(s, SMALL_KINETIC, s, key, value, "InputError", message) for s in KINETIC
+      for key, value, message in [
+          ("sigma", "1e-300", r"sigma = 1e-300 makes the Gaussian normalizer zero or not finite"),
+          ("sigma", "1e300", r"sigma = 1e\+300 makes the Gaussian normalizer zero or not finite"),
+          ("v_cap", "1e-300", r"v_cap = 1e-300 makes the acceptance mass zero or not finite"),
+          ("sigma", "1e3", r"sigma = 1000\.0 and v_cap = 0\.95 leave an acceptance mass of "
+                           r"4\.51e-07, below 0\.001: rejection sampling would not end")]],
+    ("stability", SMALL_KINETIC, "stability", "perturbation", "1e300", "NumericalError",
+     r"transport cost between clouds of 40 points with positions up to 2\.41e\+300 is not "
+     r"finite \(cost matrix is infeasible\)"),
+    *[(s, base, section, key, value, "InputError", rf"{name} = .*{_TOO_MANY_STEPS}")
+      for s, base, section, key, value, name in [
+          ("simulate", MINIMAL, "dynamics", "t", "1e300", "T"),
+          ("simulate", MINIMAL, "dynamics", "dt", "1e-300", "T"),
+          ("simulate", TORUS_GAUSS, "dynamics", "t", "1e300", "T"),
+          ("simulate", TORUS_GAUSS, "dynamics", "dt", "1e-300", "T"),
+          ("flock-detect", MINIMAL, "dynamics", "t", "1e300", "T"),
+          ("flock-detect", MINIMAL, "dynamics", "dt", "1e-300", "T"),
+          ("converge", SMALL_KINETIC, "converge", "t_eval", "1e300", "T"),
+          ("converge", SMALL_KINETIC, "converge", "dt", "1e-300", "T"),
+          ("stability", SMALL_KINETIC, "stability", "t", "1e300", "T"),
+          ("stability", SMALL_KINETIC, "stability", "dt", "1e-300", "T"),
+          ("entropy", SMALL_KINETIC, "entropy", "dt", "1e-300", r"\|t_final - t_start\|"),
+          ("jacobian", SMALL_KINETIC, "jacobian", "dt", "1e-300", r"\|t_final - t_start\|"),
+          ("entropy", SMALL_KINETIC, "entropy", "t_list", "1e300", "curve horizon"),
+          ("jacobian", SMALL_KINETIC, "jacobian", "t", "1e300", "curve horizon"),
+          ("entropy", SMALL_KINETIC, "entropy", "curve_dt", "1e-300", "curve horizon"),
+          ("jacobian", SMALL_KINETIC, "jacobian", "curve_dt", "1e-300", "curve horizon")]],
+]
+
+
+class TestRefusedInputs:
+    """Inputs that used to escape ``main`` as a traceback (IndexError, ZeroDivisionError,
+    OverflowError, ValueError, MemoryError) or to run without end (about 1e300 steps, or a
+    rejection sampler keeping one draw in two million), each refused within a second."""
+
+    @pytest.mark.parametrize(
+        "scenario,base,section,key,value,error,message", _REFUSED,
+        ids=[f"{s}-{sec}.{k}={v}" + ("-torus" if b is TORUS_GAUSS else "")
+             for s, b, sec, k, v, *_ in _REFUSED])
+    def test_failure_record(self, tmp_path, capsys, monkeypatch, scenario, base, section, key,
+                            value, error, message):
+        monkeypatch.setenv("FLOCKKIT_THREADS", "1")  # converge runs its seeds in-process
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(set_key(base, section, key, value))
+        start = time.perf_counter()
+        code = main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        elapsed = time.perf_counter() - start
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert record["error"] == error
+        assert re.fullmatch(message, record["message"]), record["message"]
+        assert elapsed < 1.0
+
+    def test_kinetic_scenario_without_scipy(self, tmp_path, capsys, monkeypatch):
+        # a ModuleNotFoundError traceback, exit 1, used to stand for the missing dependency
+        for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")] + ["scipy"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_KINETIC)
+        code = main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ConfigError", "message": "the reference density needs scipy, which is not "
+                                               "installed"}

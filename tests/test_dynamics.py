@@ -13,7 +13,6 @@ from flockkit import (
     Trajectory,
     Regularized,
     Torus,
-    barycenter_project,
     check_mean_velocity_ball,
     check_velocity_ball,
     dist_to_manifold,
@@ -291,24 +290,6 @@ class TestLeanStepBits:
         assert same_bits(traj.max_speed_overall, top)
         if family == "gaussian":
             assert np.any(traj.q_raw[-1] >= 10.0)  # the seam was crossed
-
-
-class TestBarycenterProjector:
-    def test_fixes_constant_rows(self):
-        p = np.tile([1.0, 2.0], (4, 1))
-        np.testing.assert_array_equal(barycenter_project(p), p)
-
-    def test_two_row_average(self):
-        p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(barycenter_project(p), [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_idempotent_and_contractive(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            p = rng.standard_normal((7, 3))
-            proj = barycenter_project(p)
-            np.testing.assert_allclose(barycenter_project(proj), proj, atol=1e-15)
-            assert np.sqrt(np.sum(proj**2)) <= np.sqrt(np.sum(p**2)) + 1e-12
 
 
 class TestDistToManifold:

@@ -14,9 +14,6 @@ from flockkit import (
     InputError,
     LogGradBounded,
     Torus,
-    displacement,
-    potential_eval,
-    potential_grad,
 )
 from flockkit.geometry import (
     _bessel_k,
@@ -36,25 +33,23 @@ def all_specs(d=2):
     ]
 
 
+def pair_displacement(domain, x, y):
+    return displacement_table(domain, np.array([x]), np.array([y]))[0, 0]
+
+
 class TestDisplacement:
     def test_free_space_is_subtraction(self):
         dom = FreeSpace(2)
-        np.testing.assert_array_equal(
-            displacement(dom, np.array([1.0, 1.0]), np.array([0.0, 0.0])),
-            np.array([1.0, 1.0]),
-        )
+        np.testing.assert_array_equal(pair_displacement(dom, [1.0, 1.0], [0.0, 0.0]),
+                                      np.array([1.0, 1.0]))
 
     def test_torus_min_image_wraps(self):
         dom = Torus(1, 10.0)
-        np.testing.assert_allclose(
-            displacement(dom, np.array([9.5]), np.array([0.5])), np.array([-1.0])
-        )
+        np.testing.assert_allclose(pair_displacement(dom, [9.5], [0.5]), np.array([-1.0]))
 
     def test_torus_zero(self):
         dom = Torus(1, 10.0)
-        np.testing.assert_array_equal(
-            displacement(dom, np.array([3.0]), np.array([3.0])), np.array([0.0])
-        )
+        np.testing.assert_array_equal(pair_displacement(dom, [3.0], [3.0]), np.array([0.0]))
 
     def test_torus_components_in_half_cell(self):
         dom = Torus(3, 7.0)
@@ -62,12 +57,8 @@ class TestDisplacement:
         for _ in range(200):
             x = rng.uniform(-20, 20, 3)
             y = rng.uniform(-20, 20, 3)
-            delta = displacement(dom, x, y)
+            delta = pair_displacement(dom, x, y)
             assert np.all(np.abs(delta) <= 3.5 + 1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            displacement(FreeSpace(2), np.array([1.0]), np.array([0.0, 0.0]))
 
     def test_wrap_positions(self):
         dom = Torus(2, 5.0)
@@ -216,20 +207,20 @@ class TestCompactBump:
     def test_unit_value_at_origin_d1(self):
         # normalizer forced by the unit integral of (1 - |x|) over [-1, 1]
         spec = CompactBump(d=1, radius=1.0)
-        assert potential_eval(spec, np.array([0.0])) == pytest.approx(1.0, abs=1e-14)
+        assert spec.values(np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_outside_support(self):
         spec = CompactBump(d=1, radius=1.0)
-        assert potential_eval(spec, np.array([1.5])) == 0.0
+        assert spec.values(np.array([[1.5]]))[0] == 0.0
 
     def test_gradient_inside_support_d1(self):
         spec = CompactBump(d=1, radius=1.0)
-        np.testing.assert_allclose(potential_grad(spec, np.array([0.5])), [-1.0])
+        np.testing.assert_allclose(spec.grad(np.array([0.5])), [-1.0])
 
     def test_gradient_zero_at_origin_and_outside(self):
         spec = CompactBump(d=2, radius=1.0)
-        np.testing.assert_array_equal(potential_grad(spec, np.zeros(2)), np.zeros(2))
-        np.testing.assert_array_equal(potential_grad(spec, np.array([2.0, 0.0])), np.zeros(2))
+        np.testing.assert_array_equal(spec.grad(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(spec.grad(np.array([2.0, 0.0])), np.zeros(2))
 
 
 class TestGaussianPeriodized:
@@ -237,7 +228,7 @@ class TestGaussianPeriodized:
         # images at distance >= 10 contribute below 1e-12 for width 0.5
         spec = GaussianPeriodized(d=1, width=0.5, period=10.0)
         expected = (2.0 * math.pi * 0.25) ** -0.5
-        assert potential_eval(spec, np.array([0.0])) == pytest.approx(expected, abs=1e-12)
+        assert spec.values(np.array([[0.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_direct_lattice_sum_oracle(self):
         spec = GaussianPeriodized(d=2, width=1.5, period=6.0)
@@ -250,11 +241,11 @@ class TestGaussianPeriodized:
                     shift = np.array([i * 6.0, j * 6.0])
                     brute += math.exp(-np.sum((r + shift) ** 2) / (2 * 1.5**2))
             brute /= 2 * math.pi * 1.5**2
-            assert potential_eval(spec, r) == pytest.approx(brute, rel=1e-12)
+            assert spec.values(r[None])[0] == pytest.approx(brute, rel=1e-12)
 
     def test_gradient_zero_at_origin(self):
         spec = GaussianPeriodized(d=2, width=1.0, period=10.0)
-        np.testing.assert_allclose(potential_grad(spec, np.zeros(2)), np.zeros(2),
+        np.testing.assert_allclose(spec.grad(np.zeros(2)), np.zeros(2),
                                    atol=1e-15)
 
     def test_periodization_truncation_stable(self):
@@ -264,7 +255,7 @@ class TestGaussianPeriodized:
         rng = np.random.default_rng(2)
         for _ in range(100):
             r = rng.uniform(-5, 5, 2)
-            assert abs(potential_eval(base, r) - potential_eval(finer, r)) < 1e-12
+            assert abs(base.values(r[None])[0] - finer.values(r[None])[0]) < 1e-12
 
     def test_truncation_order_capped(self):
         spec = GaussianPeriodized(d=1, width=5.0, period=1.0)
@@ -353,8 +344,8 @@ class TestLogGradBounded:
         rng = np.random.default_rng(3)
         for _ in range(1000):
             r = rng.uniform(-4, 4, 2)
-            val = potential_eval(spec, r)
-            grad = potential_grad(spec, r)
+            val = spec.values(r[None])[0]
+            grad = spec.grad(r)
             assert np.sqrt(np.sum(grad**2)) <= k * val + 1e-15
 
     def test_periodized_truncation_stable(self):
@@ -364,7 +355,7 @@ class TestLogGradBounded:
         rng = np.random.default_rng(4)
         for _ in range(100):
             r = rng.uniform(-5, 5, 2)
-            assert abs(potential_eval(base, r) - potential_eval(finer, r)) < 1e-12
+            assert abs(base.values(r[None])[0] - finer.values(r[None])[0]) < 1e-12
 
     def test_positive_torus_infimum(self):
         spec = LogGradBounded(d=2, decay=0.5, period=10.0)
@@ -374,7 +365,7 @@ class TestLogGradBounded:
         rng = np.random.default_rng(5)
         for _ in range(200):
             r = rng.uniform(-5, 5, 2)
-            assert potential_eval(spec, r) >= lower - 1e-15
+            assert spec.values(r[None])[0] >= lower - 1e-15
 
 
 class TestSharedProperties:
@@ -384,15 +375,15 @@ class TestSharedProperties:
         rng = np.random.default_rng(6)
         for _ in range(50):
             r = rng.uniform(-3, 3, 2)
-            assert potential_eval(spec, r) == potential_eval(spec, -r)
+            assert spec.values(r[None])[0] == spec.values((-r)[None])[0]
 
     @pytest.mark.parametrize("spec_idx", range(4))
     def test_nonnegative_and_positive_at_origin(self, spec_idx):
         spec = all_specs()[spec_idx]
-        assert potential_eval(spec, np.zeros(2)) > 0.0
+        assert spec.values(np.zeros((1, 2)))[0] > 0.0
         rng = np.random.default_rng(7)
         for _ in range(50):
-            assert potential_eval(spec, rng.uniform(-6, 6, 2)) >= 0.0
+            assert spec.values(rng.uniform(-6, 6, (1, 2)))[0] >= 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_free_space_normalization(self, d):
@@ -421,11 +412,11 @@ class TestSharedProperties:
         h = 1e-6
         for _ in range(20):
             r = rng.uniform(-3, 3, 2)
-            grad = potential_grad(spec, r)
+            grad = spec.grad(r)
             for c in range(2):
                 e = np.zeros(2)
                 e[c] = h
-                fd = (potential_eval(spec, r + e) - potential_eval(spec, r - e)) / (2 * h)
+                fd = (spec.values(r + e) - spec.values(r - e)) / (2 * h)
                 assert grad[c] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_grad_sup_is_an_upper_bound(self):
@@ -434,7 +425,7 @@ class TestSharedProperties:
             bound = spec.grad_sup
             for _ in range(300):
                 r = rng.uniform(-5, 5, 2)
-                g = np.sqrt(np.sum(potential_grad(spec, r) ** 2))
+                g = np.sqrt(np.sum(spec.grad(r) ** 2))
                 assert g <= bound * (1 + 1e-9) + 1e-15
 
     def test_validation_errors(self):
@@ -444,8 +435,6 @@ class TestSharedProperties:
             GaussianPeriodized(d=2, width=-1.0, period=5.0)
         with pytest.raises(InputError):
             Torus(2, -3.0)
-        with pytest.raises(InputError):
-            potential_eval(CompactBump(d=2, radius=1.0), np.array([1.0]))
         # a normalizer that underflows or overflows refuses the family when it is built
         for family, name in ((CompactBump, "radius"), (LogGradBounded, "decay")):
             for value in (1e-300, 1e300):

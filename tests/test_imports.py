@@ -22,7 +22,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import flockkit
+from flockkit import ConfigError, PointCloud, Torus, knn_entropy, transport_distance
+from flockkit.density import torus_gaussian_sampler
 
 DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.spatial",
             "scipy.special")
@@ -62,7 +67,7 @@ flow_characteristics(cloud, curve, field, t_final=0.02, dt=0.01, want_overlap=Tr
 loaded("flow_characteristics")
 knn_entropy(np.hstack([cloud.x, cloud.v]), k=2, box=np.array([10.0, 10.0, 0.0, 0.0]))
 loaded("knn_entropy")
-transport_distance(cloud, curve.cloud_at(0.02))
+transport_distance(cloud, PointCloud(torus, curve.x[-1], curve.v[-1]))
 loaded("transport_distance")
 """
 
@@ -161,3 +166,22 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
                                       "scipy.special"], True]
     assert stages["transport_distance"] == [["scipy.linalg", "scipy.optimize", "scipy.sparse",
                                              "scipy.spatial", "scipy.special"], True]
+
+
+TORUS = Torus(2, 10.0)
+CLOUD = PointCloud(TORUS, [[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.0], [0.0, 0.1]])
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda: transport_distance(CLOUD, CLOUD), "the transport distance"),
+    (lambda: knn_entropy(np.arange(10.0).reshape(5, 2), k=2), "the k-nearest-neighbour entropy"),
+    (lambda: torus_gaussian_sampler(TORUS, 0.3), "the reference density"),
+], ids=["transport_distance", "knn_entropy", "torus_gaussian_sampler"])
+def test_missing_scipy_is_a_config_error(monkeypatch, call, what):
+    # each deferred scipy import used to let a ModuleNotFoundError through, which
+    # the CLI printed as a traceback instead of a failure record; a None entry in
+    # sys.modules makes the import fail even where the module is loaded already
+    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ConfigError, match=f"^{what} needs scipy, which is not installed$"):
+        call()

@@ -24,7 +24,6 @@ from flockkit import (
     field_constants,
     flow_characteristics,
     lipschitz_probe,
-    mean_field_M,
     mean_field_batch,
     mean_field_convergence,
     picard_iterate,
@@ -51,13 +50,13 @@ class TestFieldSpec:
         field = FieldSpec(spec=CompactBump(d=2, radius=1.0), mode=Plain())
         cloud = PointCloud(FreeSpace(2), np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ConfigError):
-            mean_field_M(np.zeros(2), np.zeros(2), cloud, field)
+            mean_field_batch(np.zeros((1, 2)), np.zeros((1, 2)), cloud, field)
 
     def test_plain_requires_positive_infimum(self):
         field = FieldSpec(spec=CompactBump(d=2, radius=1.0), mode=Plain())
         cloud = PointCloud(TORUS, np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ConfigError):
-            mean_field_M(np.zeros(2), np.zeros(2), cloud, field)
+            mean_field_batch(np.zeros((1, 2)), np.zeros((1, 2)), cloud, field)
 
     @pytest.mark.parametrize("which", ["x", "v"])
     def test_non_finite_cloud_rejected(self, which):
@@ -68,7 +67,7 @@ class TestFieldSpec:
             PointCloud(TORUS, arrays["x"], arrays["v"])
 
     def test_empty_cloud_rejected(self):
-        # an empty cloud used to reach mean_field_M / evolve_cloud and divide by zero
+        # an empty cloud used to reach mean_field_batch / evolve_cloud and divide by zero
         with pytest.raises(InputError, match="at least one point"):
             PointCloud(TORUS, np.zeros((0, 2)), np.zeros((0, 2)))
 
@@ -141,13 +140,15 @@ class TestPhasePoints:
 class TestMeanField:
     def test_single_atom_plain(self):
         atom = PointCloud(TORUS, np.array([[5.0, 5.0]]), np.array([[0.3, -0.2]]))
-        got = mean_field_M(np.array([5.1, 5.0]), np.array([0.1, 0.1]), atom, PLAIN_FIELD)
+        got = mean_field_batch(np.array([[5.1, 5.0]]), np.array([[0.1, 0.1]]), atom,
+                               PLAIN_FIELD)[0]
         np.testing.assert_allclose(got, [0.2, -0.3], atol=1e-14)
 
     def test_empty_support_regularized_returns_minus_v(self):
         field = FieldSpec(spec=CompactBump(d=2, radius=1.0), mode=Regularized(0.1))
         atom = PointCloud(FreeSpace(2), np.zeros((1, 2)), np.array([[0.5, 0.0]]))
-        got = mean_field_M(np.array([30.0, 30.0]), np.array([0.2, -0.1]), atom, field)
+        got = mean_field_batch(np.array([[30.0, 30.0]]), np.array([[0.2, -0.1]]), atom,
+                               field)[0]
         np.testing.assert_allclose(got, [-0.2, 0.1], atol=1e-15)
 
     @pytest.mark.parametrize("x, v, message", [
@@ -159,7 +160,7 @@ class TestMeanField:
     def test_point_outside_phase_space_rejected(self, x, v, message):
         # a nan velocity used to come back as the increment [nan, 0]
         with pytest.raises(InputError, match=message):
-            mean_field_M(np.array(x), np.array(v), torus_cloud(5), PLAIN_FIELD)
+            mean_field_batch(np.array([x]), np.array([v]), torus_cloud(5), PLAIN_FIELD)
 
     @pytest.mark.parametrize("mode", [Plain(), Regularized(0.1)])
     def test_bounded_by_two(self, mode):
@@ -184,8 +185,8 @@ class TestMeanField:
         rng = np.random.default_rng(4)
         cloud = PointCloud(TORUS, rng.uniform(0, 10, (20, 2)),
                            np.tile([0.2, -0.1], (20, 1)))
-        got = mean_field_M(np.array([3.0, 3.0]), np.array([0.2, -0.1]), cloud,
-                           PLAIN_FIELD)
+        got = mean_field_batch(np.array([[3.0, 3.0]]), np.array([[0.2, -0.1]]), cloud,
+                               PLAIN_FIELD)[0]
         np.testing.assert_array_equal(got, np.zeros(2))
 
 
@@ -383,13 +384,11 @@ class TestFlow:
         cloud = torus_cloud(6, seed=13)
         w0 = ParticleEnsemble(TORUS, cloud.x.copy(), cloud.v.copy())
         traj = integrate(w0, GAUSS, Plain(), T=0.4, dt=0.01, save_every=10)
-        curve = MeasureCurve.from_trajectory(traj)
+        curve = MeasureCurve(TORUS, traj.times, traj.q, traj.p)
         assert curve.n == 6
         # piecewise-constant-left lookup: times strictly inside an interval
         # resolve to the left grid cloud
-        np.testing.assert_array_equal(curve.cloud_at(0.15).x, curve.x[1])
-        np.testing.assert_array_equal(curve.cloud_at(0.1).x, curve.x[1])
-        np.testing.assert_array_equal(curve.cloud_at(10.0).x, curve.x[-1])
+        assert [curve.index_at(t) for t in (0.15, 0.1, 10.0)] == [1, 1, len(curve.times) - 1]
 
     def test_lookup_slack_is_relative_to_the_grid_spacing(self):
         # an absolute 1e-12 slack used to map t = 0 to the last of these clouds
@@ -791,6 +790,53 @@ class TestFieldConstants:
         assert consts.lemma == "regularized"
         assert consts.L == pytest.approx(10.0)
         assert consts.a == pytest.approx(0.2)
+
+    # the values of the isinstance chain that picked the lemma before each family stated
+    # its own: the same bits for every family and mode that has a lemma
+    @pytest.mark.parametrize("spec,mode,domain,lemma,L,c0,a", [
+        (GaussianPeriodized(d=2, width=1.0, period=10.0), Plain(), Torus(2, 10.0),
+         "gaussian-periodized", 10.0, 1.1826892215563989, 8.841339661967142e-12),
+        (GaussianPeriodized(d=2, width=2.0, period=5.0), Plain(), Torus(2, 5.0),
+         "gaussian-periodized", 1.25, 0.21458081325721062, 0.033489615755883585),
+        (GaussianPeriodized(d=1, width=0.5, period=3.0), Plain(), Torus(1, 3.0),
+         "gaussian-periodized", 12.0, 3.531475507277417, 0.017727393647752034),
+        (GaussianPeriodized(d=3, width=0.7, period=4.0), Plain(), Torus(3, 4.0),
+         "gaussian-periodized", 8.163265306122451, 2.777357257699191, 7.1225326586796555e-06),
+        (LogGradBounded(d=2, decay=0.5, period=10.0), Plain(), Torus(2, 10.0),
+         "log-grad-bounded", 4.0, 1.4836852022235683, 9.826116597664424e-07),
+        (LogGradBounded(d=3, decay=1.0, period=4.0), Plain(), Torus(3, 4.0),
+         "log-grad-bounded", 2.0, 1.8425115970963653, 0.0013307877830738986),
+        (LogGradBounded(d=1, decay=2.0, period=6.0, n_max=2), Plain(), Torus(1, 6.0),
+         "log-grad-bounded", 1.0, 0.8582543030568256, 0.06210322196161263),
+        (CompactBump(d=2, radius=1.0), Regularized(0.2), FreeSpace(2),
+         "regularized", 10.0, 7.639437268410976, 0.2),
+        (CompactBump(d=1, radius=2.0), Regularized(0.1), Torus(1, 8.0),
+         "regularized", 20.0, 1.5, 0.1),
+        (CompactBump(d=3, radius=1.5), Regularized(0.05), Torus(3, 6.0),
+         "regularized", 40.0, 2.829421210522584, 0.05),
+    ])
+    def test_constants_keep_their_bits(self, spec, mode, domain, lemma, L, c0, a):
+        consts = field_constants(FieldSpec(spec=spec, mode=mode), domain)
+        assert (consts.lemma, consts.L, consts.c0, consts.a) == (lemma, L, c0, a)
+
+    @pytest.mark.parametrize("spec,mode,domain,message", [
+        (GaussianPeriodized(d=2, width=1.0, period=10.0), Regularized(0.1), Torus(2, 10.0),
+         "regularized Lipschitz constant requires compact support"),
+        (LogGradBounded(d=2, decay=1.0), Plain(), Torus(2, 10.0),
+         "no Lipschitz constant known for this plain-mode field"),
+        (LogGradBounded(d=2, decay=1.0), Regularized(0.1), FreeSpace(2),
+         "regularized Lipschitz constant requires compact support"),
+        (CompactBump(d=2, radius=0.5), Regularized(0.1), FreeSpace(2),
+         "regularized Lipschitz constant requires compact support"),
+        (CompactBump(d=2, radius=1.0), Plain(), Torus(2, 10.0),
+         "plain-mode mean-field dynamics requires an interaction with positive infimum"),
+        (GaussianPeriodized(d=2, width=1.0, period=10.0), Plain(), FreeSpace(2),
+         "plain-mode mean-field dynamics requires a torus domain"),
+    ], ids=["gaussian-regularized", "free-loggrad-plain-on-torus", "loggrad-regularized",
+            "steep-bump-regularized", "bump-plain", "gaussian-plain-in-free-space"])
+    def test_no_lemma_is_a_config_error(self, spec, mode, domain, message):
+        with pytest.raises(ConfigError, match=message):
+            field_constants(FieldSpec(spec=spec, mode=mode), domain)
 
 
 class TestPicard:

@@ -9,15 +9,12 @@ from flockkit import (
     NumericalError,
     ParticleEnsemble,
     Plain,
-    PreconditionError,
     Regularized,
     b_norm_check,
-    c_matrix_gap,
     integrate,
     interaction_matrix,
     operator_norm,
     spectrum,
-    velocity_projector,
 )
 from flockkit import spectral
 from flockkit._kernels import kernel_table
@@ -164,7 +161,7 @@ class TestSpectrum:
         np.testing.assert_allclose(report.eigenvalues, [1.0, (u0 - u) / (u0 + u)],
                                    atol=1e-12)
         assert report.perron_simple
-        assert c_matrix_gap(report) == pytest.approx(2 * u / (u0 + u), abs=1e-12)
+        assert report.gap == pytest.approx(2 * u / (u0 + u), abs=1e-12)
 
     def test_isolated_particles_reducible(self):
         state = positions_state([[0, 0], [5, 0], [10, 0]])
@@ -172,8 +169,6 @@ class TestSpectrum:
         np.testing.assert_allclose(report.eigenvalues, np.ones(3))
         assert report.gap == pytest.approx(0.0, abs=1e-14)
         assert not report.perron_simple
-        with pytest.raises(PreconditionError):
-            c_matrix_gap(report)
 
     def test_complete_uniform_weights_have_unit_gap(self):
         # all particles overlapping: rank-one weight matrix, second eigenvalue 0
@@ -181,7 +176,7 @@ class TestSpectrum:
         report = spectrum(interaction_matrix(state, CompactBump(d=2, radius=1.0)))
         assert report.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(report.eigenvalues[1:])) < 1e-12
-        assert c_matrix_gap(report) == pytest.approx(1.0, abs=1e-12)
+        assert report.gap == pytest.approx(1.0, abs=1e-12)
 
     def test_random_connected_perron_structure(self):
         rng = np.random.default_rng(3)
@@ -221,29 +216,6 @@ class TestSpectrum:
             assert (rep.gap > 1e-10) == connected
             seen_disconnected += not connected
         assert seen_disconnected > 0  # the sample must exercise both branches
-
-
-class TestVelocityProjector:
-    def test_uniform_configuration_matches_barycenter(self):
-        state = positions_state(np.zeros((5, 2)))
-        p = velocity_projector(interaction_matrix(state, CompactBump(d=2, radius=1.0)))
-        np.testing.assert_allclose(p, np.full((5, 5), 0.2), atol=1e-15)
-
-    def test_idempotent_and_commutes(self):
-        rng = np.random.default_rng(5)
-        spec = CompactBump(d=2, radius=1.0)
-        for _ in range(10):
-            m = interaction_matrix(random_connected_state(rng), spec)
-            p = velocity_projector(m)
-            np.testing.assert_allclose(p @ p, p, atol=1e-12)
-            np.testing.assert_allclose(m.a @ p, p, atol=1e-10)
-            np.testing.assert_allclose(p @ m.a, p, atol=1e-10)
-
-    def test_reducible_rejected(self):
-        state = positions_state([[0, 0], [5, 0]])
-        m = interaction_matrix(state, CompactBump(d=2, radius=1.0))
-        with pytest.raises(PreconditionError):
-            velocity_projector(m)
 
 
 class TestOperatorNorm:
