@@ -189,6 +189,9 @@ def _convert(section: str, key: str, raw: str, spec: _Key):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{label}: cannot parse {raw!r} as {spec.typ}") from exc
+    floats = {"float": (value,), "float_list": value}.get(spec.typ, ())
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{label} must be finite, got {raw!r}")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"{label}: {value!r} not one of {spec.choices}")
     if spec.positive and isinstance(value, (int, float)) and not value > 0:
@@ -666,8 +669,10 @@ def _entropy_curve(cfg: RunConfig, section: str, domain, field, horizon: float):
 
 
 def _run_entropy(cfg: RunConfig, out: Path) -> dict:
-    domain, field = _build_field(cfg)
     t_list = list(cfg.get("entropy", "t_list"))
+    if not t_list:
+        raise ConfigError("entropy.t_list is empty: give at least one time")
+    domain, field = _build_field(cfg)
     curve = _entropy_curve(cfg, "entropy", domain, field, max(t_list))
     sampler = density.torus_gaussian_sampler(domain, *_reference_density(cfg, "entropy"))
     rows = density.entropy_decay_check(

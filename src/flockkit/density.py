@@ -184,25 +184,47 @@ def entropy_decay_check(sampler: Callable, curve: MeasureCurve, field: FieldSpec
     return rows
 
 
+def _chi_mass(d: int, x: float) -> float:
+    """The regularized incomplete gamma ``P(a, x)`` at ``a = d/2``, from sums of positive
+    terms (Abramowitz & Stegun, Handbook of Mathematical Functions, 6.5).  Below ``x = a + 1``
+    the series ``x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k))``; above it ``1 - Q``
+    with ``Q = e^-x sum_{k < a} x^k / k!`` at even ``d``, and at odd ``d``
+    ``Q = erfc(sqrt x) + sum_{j < a - 1/2} x^(j+1/2) e^-x / Gamma(j+3/2)``."""
+    a, n = d / 2.0, d // 2
+    if not x > 0.0:  # an x that underflowed, for the caller to refuse; log(0) would raise
+        return 0.0
+    if x == math.inf:  # a sigma whose square is subnormal: all the mass is inside the cap
+        return 1.0
+    if x < a + 1.0:
+        terms, k = [math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))], 0
+        while terms[-1] > terms[0] * 2.0**-60:
+            k += 1
+            terms.append(terms[-1] * x / (a + k))
+        return math.fsum(terms)
+    b = a - n  # 0 or 1/2
+    q = [math.exp((b + k) * math.log(x) - x - math.lgamma(b + k + 1.0)) for k in range(n)]
+    if b:
+        q.append(math.erfc(math.sqrt(x)))
+    return 1.0 - math.fsum(q)
+
+
 def torus_gaussian_sampler(domain: Torus, sigma: float, v_cap: float = 0.95):
     """Sampler for the reference density: uniform positions on the torus and
     a radially truncated Gaussian in velocity, kept away from the speed limit.
 
     Returns a callable ``(M, rng) -> (w0, logf0)`` with ``w0`` of shape
-    ``(M, 2d)`` and the exact log-density at the samples.
+    ``(M, 2d)`` and the exact log-density at the samples.  The normalizer's
+    acceptance mass is the chi-square law ``P(d/2, v_cap^2 / 2 sigma^2)`` in closed
+    form (:func:`_chi_mass`), so building and drawing load no scipy.
     """
     if not isinstance(domain, Torus):
         raise ConfigError("reference sampler is defined on a torus domain")
     if not 0.0 < v_cap < 1.0:
         raise ConfigError(f"velocity cap must sit inside the unit ball, got {v_cap}")
-    try:  # imported here so that importing flockkit does not load scipy.special
-        from scipy.special import gammainc
-    except ImportError:
-        raise ConfigError("the reference density needs scipy, which is not installed") from None
     d = domain.d
     two_pi_var = _derived("sigma", sigma, lambda: 2.0 * math.pi * sigma**2, "Gaussian normalizer")
     # mass of N(0, sigma^2 I_d) inside the cap ball, via the chi-square law
-    mass = _derived("v_cap", v_cap, lambda: float(gammainc(d / 2.0, v_cap**2 / (2.0 * sigma**2))),
+    mass = _derived("v_cap", v_cap, lambda: _chi_mass(d, v_cap**2 / (2.0 * sigma**2)),
                     "acceptance mass")
     if mass < _MIN_MASS:
         raise InputError(f"sigma = {sigma!r} and v_cap = {v_cap!r} leave an acceptance mass of "

@@ -637,6 +637,15 @@ _TOO_MANY_STEPS = "steps of dt = .*, more than 2\\^53, where step times are no l
 _REFUSED = [
     ("spectrum", MINIMAL, "spectrum", "n", "1", "ConfigError",
      "spectrum.n = 1 must be at least 2: the gap needs lambda_2"),
+    ("entropy", SMALL_KINETIC, "entropy", "t_list", "", "ConfigError",
+     "entropy.t_list is empty: give at least one time"),
+    *[(s, base, section, key, value, "ConfigError",
+       rf"{section}\.{key} must be finite, got '{re.escape(value)}'")
+      for s, base, section, key, value in [
+          ("flock-detect", FLOCKY, "init", "perturbation", "nan"),
+          ("flock-detect", FLOCKY, "flock", "radius", "inf"),
+          ("simulate", MINIMAL, "dynamics", "t", "-inf"),
+          ("entropy", SMALL_KINETIC, "entropy", "t_list", "0.1, nan")]],
     *[(s, SMALL_KINETIC, s, key, value, "InputError", message) for s in KINETIC
       for key, value, message in [
           ("sigma", "1e-300", r"sigma = 1e-300 makes the Gaussian normalizer zero or not finite"),
@@ -670,8 +679,10 @@ _REFUSED = [
 
 class TestRefusedInputs:
     """Inputs that used to escape ``main`` as a traceback (IndexError, ZeroDivisionError,
-    OverflowError, ValueError, MemoryError) or to run without end (about 1e300 steps, or a
-    rejection sampler keeping one draw in two million), each refused within a second."""
+    OverflowError, ValueError, MemoryError), to run without end (about 1e300 steps, or a
+    rejection sampler keeping one draw in two million) or to run to a meaningless answer (a
+    nan perturbation giving an exact flock, an infinite flock radius met at t = 0), each
+    refused within a second."""
 
     @pytest.mark.parametrize(
         "scenario,base,section,key,value,error,message", _REFUSED,
@@ -699,6 +710,7 @@ class TestRefusedInputs:
         cfg_path.write_text(SMALL_KINETIC)
         code = main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert code == 2
+        # the reference density is in closed form: the transport distance is the first to need scipy
         assert json.loads(capsys.readouterr().err.strip()) == {
-            "error": "ConfigError", "message": "the reference density needs scipy, which is not "
+            "error": "ConfigError", "message": "the transport distance needs scipy, which is not "
                                                "installed"}

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from flockkit import (
     torus_gaussian_sampler,
 )
 from flockkit.cli import _build_field, _resolve_dt, build_initial_state, load_config
-from flockkit.density import _cumulative_simpson
+from flockkit.density import _chi_mass, _cumulative_simpson
 from flockkit.geometry import unit_ball_volume
 
 TORUS = Torus(2, 10.0)
@@ -194,6 +195,70 @@ class TestKnnEntropy:
     def test_k_must_be_positive(self):
         with pytest.raises(InputError):
             knn_entropy(np.zeros((10, 2)), k=0)
+
+
+def chi_mass_reference(d, x):
+    """``P(d/2, x)`` to about 35 digits in decimal arithmetic, from the series
+    ``e^-x sum_{k >= d//2} x^(b+k) / Gamma(b+k+1)`` with ``b = d/2 - d//2`` (Abramowitz &
+    Stegun 6.5.29), whose terms are all positive, at the exact value of the float ``x``."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, b, n = Decimal(x), Decimal(d % 2) / 2, d // 2
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        term = 2 * (x / pi).sqrt() if b else Decimal(1)  # x^b / Gamma(b + 1)
+        total, k = Decimal(0), 0
+        while k <= max(n, x) or term > total * Decimal("1e-40"):
+            total += term if k >= n else 0
+            k += 1
+            term *= x / (b + k)
+        return total * (-x).exp()
+
+
+# sigma and v_cap of the reference density: x = v_cap^2 / 2 sigma^2 from 0.125 to 20
+CHI_GRID = [(sigma, v_cap) for sigma in (0.15, 0.2, 0.3, 0.45, 0.7, 1.0) for v_cap in (0.5, 0.95)]
+
+
+class TestChiMass:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_within_16_ulps_of_the_reference(self, d):
+        sides = set()
+        for sigma, v_cap in CHI_GRID:
+            x = v_cap**2 / (2.0 * sigma**2)
+            reference = chi_mass_reference(d, x)
+            if reference < Decimal("1e-3"):  # refused by the sampler
+                continue
+            sides.add(x < d / 2.0 + 1.0)  # the series below a + 1, the complement above
+            ulps = abs(Decimal(_chi_mass(d, x)) - reference) / Decimal(np.spacing(float(reference)))
+            assert ulps <= 16, (d, sigma, v_cap, float(ulps))
+        assert sides == {True, False}
+
+    def test_reference_agrees_with_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for d in range(1, 7):
+            for sigma, v_cap in CHI_GRID:
+                x = v_cap**2 / (2.0 * sigma**2)
+                exact = mpmath.gammainc(mpmath.mpf(d) / 2, 0, x, regularized=True)
+                assert abs(mpmath.mpf(str(chi_mass_reference(d, x))) / exact - 1) < 1e-28
+
+    def test_shipped_default_keeps_the_bits_of_gammainc(self):
+        # scipy.special.gammainc(1.0, x) at sigma = 0.3, v_cap = 0.95, the density of every
+        # shipped kinetic config
+        mass = _chi_mass(2, 0.95**2 / (2.0 * 0.3**2))
+        assert np.float64(mass).tobytes() == np.float64(0.9933549887172586).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_ends_of_the_range(self, d):
+        assert _chi_mass(d, 0.0) == 0.0
+        assert _chi_mass(d, math.inf) == 1.0
+
+    @pytest.mark.parametrize("sigma,v_cap,message", [
+        (0.3, 1e-300, r"^v_cap = 1e-300 makes the acceptance mass zero or not finite$"),
+        (1e3, 0.95, r"acceptance mass of 4\.51e-07, below 0\.001"),
+    ])
+    def test_vanishing_mass_refused(self, sigma, v_cap, message):
+        with pytest.raises(InputError, match=message):
+            torus_gaussian_sampler(TORUS, sigma=sigma, v_cap=v_cap)
 
 
 class TestSampler:

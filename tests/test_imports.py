@@ -1,19 +1,21 @@
-"""The import graph: the particle scenarios load no scipy at all, and
-``scipy.linalg``, ``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial`` and
-``scipy.special`` load only where the kinetic diagnostics call them;
-``scipy.integrate`` never loads.
+"""The import graph: the particle scenarios, the reference sampler and the
+``jacobian`` scenario load no scipy at all, and ``scipy.linalg``,
+``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial`` and ``scipy.special``
+load only where the kinetic diagnostics call them; ``scipy.integrate`` never
+loads.
 
 ``import flockkit`` must not load any of them.  The spectrum goes through
 ``numpy.linalg.eigvalsh``, connectivity is a breadth-first search on the dense
 adjacency, the log-gradient normalizer evaluates ``K_nu`` by its own
-quadrature, and the moment check sums the cumulative Simpson rule in the
-package; so ``simulate``, ``flock-detect`` and ``spectrum``, and the cloud
-evolution and characteristics, import no scipy module.  The transport distance
-(Hungarian assignment), the kNN entropy (k-d tree, digamma) and the reference
-sampler (``gammainc``) import theirs where they are called, and
-``scipy.linalg`` and ``scipy.sparse`` arrive with ``scipy.spatial`` or
-``scipy.optimize``.  The check runs in a fresh interpreter, because this test
-process has loaded these modules already.
+quadrature, the moment check sums the cumulative Simpson rule in the package,
+and the reference sampler's acceptance mass is the chi-square law in closed
+form; so ``simulate``, ``flock-detect``, ``spectrum`` and ``jacobian``, the
+cloud evolution and characteristics, and sampling the reference density import
+no scipy module.  The transport distance (Hungarian assignment) and the kNN
+entropy (k-d tree, digamma) import theirs where they are called, and
+``scipy.linalg``, ``scipy.sparse`` and ``scipy.special`` arrive with
+``scipy.spatial`` or ``scipy.optimize``.  The check runs in a fresh
+interpreter, because this test process has loaded these modules already.
 """
 
 import json
@@ -65,6 +67,11 @@ curve = evolve_cloud(cloud, field, T=0.02, dt=0.01)
 loaded("evolve_cloud")
 flow_characteristics(cloud, curve, field, t_final=0.02, dt=0.01, want_overlap=True)
 loaded("flow_characteristics")
+from flockkit.density import torus_gaussian_sampler
+torus_gaussian_sampler(torus, 0.3)(50, rng)
+loaded("sampler built and drawn")
+run_scenario(parse_config_text(%r), out / "jacobian")
+loaded("jacobian scenario")
 knn_entropy(np.hstack([cloud.x, cloud.v]), k=2, box=np.array([10.0, 10.0, 0.0, 0.0]))
 loaded("knn_entropy")
 transport_distance(cloud, PointCloud(torus, curve.x[-1], curve.v[-1]))
@@ -130,6 +137,33 @@ perturbation = 0.01
 radius = 0.01
 """
 
+# flow-map determinants at two points of the reference density, regularized field
+JACOBIAN = """
+[run]
+scenario = jacobian
+seed = 4
+
+[domain]
+kind = torus
+d = 2
+size = 10.0
+
+[potential]
+kind = gaussian
+range = 1.0
+
+[dynamics]
+mode = regularized
+epsilon = 0.1
+
+[jacobian]
+points = 2
+t = 0.02
+dt = 0.01
+curve_n = 20
+curve_dt = 0.01
+"""
+
 # weight-matrix spectra and graph connectivity of random bump configurations
 SPECTRUM = """
 [run]
@@ -154,13 +188,13 @@ extent = 1.0
 def test_scipy_submodules_load_only_where_called(tmp_path):
     src = str(Path(flockkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = SCRIPT % (DEFERRED, FLOCK, SPECTRUM, SIMULATE)
+    script = SCRIPT % (DEFERRED, FLOCK, SPECTRUM, SIMULATE, JACOBIAN)
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     stages = dict(json.loads(line) for line in out.stdout.splitlines())
-    # the particle scenarios and the cloud evolution: no scipy module at all
+    # the particle scenarios, the cloud evolution and the reference density: no scipy at all
     for stage in ("import", "flock-detect", "spectrum", "simulate", "evolve_cloud",
-                  "flow_characteristics"):
+                  "flow_characteristics", "sampler built and drawn", "jacobian scenario"):
         assert stages[stage] == [[], False], f"loaded after {stage}: {stages[stage]}"
     assert stages["knn_entropy"] == [["scipy.linalg", "scipy.sparse", "scipy.spatial",
                                       "scipy.special"], True]
@@ -172,16 +206,29 @@ TORUS = Torus(2, 10.0)
 CLOUD = PointCloud(TORUS, [[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.0], [0.0, 0.1]])
 
 
+def block_scipy(monkeypatch):
+    """Make every scipy import fail: a None entry in sys.modules does so even where the
+    module is loaded already."""
+    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+
+
 @pytest.mark.parametrize("call,what", [
     (lambda: transport_distance(CLOUD, CLOUD), "the transport distance"),
     (lambda: knn_entropy(np.arange(10.0).reshape(5, 2), k=2), "the k-nearest-neighbour entropy"),
-    (lambda: torus_gaussian_sampler(TORUS, 0.3), "the reference density"),
-], ids=["transport_distance", "knn_entropy", "torus_gaussian_sampler"])
+], ids=["transport_distance", "knn_entropy"])
 def test_missing_scipy_is_a_config_error(monkeypatch, call, what):
     # each deferred scipy import used to let a ModuleNotFoundError through, which
-    # the CLI printed as a traceback instead of a failure record; a None entry in
-    # sys.modules makes the import fail even where the module is loaded already
-    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")] + ["scipy"]:
-        monkeypatch.setitem(sys.modules, name, None)
+    # the CLI printed as a traceback instead of a failure record
+    block_scipy(monkeypatch)
     with pytest.raises(ConfigError, match=f"^{what} needs scipy, which is not installed$"):
         call()
+
+
+def test_reference_sampler_draws_without_scipy(monkeypatch):
+    # it used to need scipy.special.gammainc for its acceptance mass
+    expected = torus_gaussian_sampler(TORUS, 0.3)(200, np.random.default_rng(5))
+    block_scipy(monkeypatch)
+    w0, logf = torus_gaussian_sampler(TORUS, 0.3)(200, np.random.default_rng(5))
+    np.testing.assert_array_equal(w0, expected[0])
+    np.testing.assert_array_equal(logf, expected[1])
