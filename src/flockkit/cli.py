@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -120,7 +119,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "extent": _Key("float", 3.0, positive=True),
     },
     "converge": {
-        "n_list": _Key("int_list", (100, 400, 1600)),
+        "n_list": _Key("int_list", (100, 400, 1600), positive=True),
         "n_ref": _Key("int", 6400, positive=True),
         "t_eval": _Key("float", 1.0, positive=True),
         "seeds": _Key("int", 5, positive=True),
@@ -194,9 +193,10 @@ def _convert(section: str, key: str, raw: str, spec: _Key):
         raise ConfigError(f"{label} must be finite, got {raw!r}")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"{label}: {value!r} not one of {spec.choices}")
-    if spec.positive and isinstance(value, (int, float)) and not value > 0:
+    numbers = value if isinstance(value, tuple) else (value,)  # each entry of a list key
+    if spec.positive and not all(p > 0 for p in numbers):
         raise ConfigError(f"{label} must be positive")
-    if spec.nonneg and isinstance(value, (int, float)) and value < 0:
+    if spec.nonneg and not all(p >= 0 for p in numbers):
         raise ConfigError(f"{label} must be nonnegative")
     return value
 
@@ -548,6 +548,8 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
                           "gaussian potential family")
     field = kinetic.FieldSpec(spec=_build_potential(cfg, domain), mode=Plain())
     n_list = list(cfg.get("converge", "n_list"))
+    if not n_list:
+        raise ConfigError("converge.n_list is empty: give at least one cloud size")
     seeds = [cfg.get("run", "seed") + k for k in range(cfg.get("converge", "seeds"))]
     # top-level callables bound by partial, so one seed's experiment pickles
     # into a worker process
@@ -559,6 +561,8 @@ def _run_converge(cfg: RunConfig, out: Path) -> dict:
     workers = _workers(len(jobs))
     per_seed = None
     if workers > 1:
+        # imported here: multiprocessing, socket and subprocess load only for a pool
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 per_seed = list(pool.map(experiment, jobs))

@@ -604,7 +604,7 @@ class TestConvergeRunner:
         assert_envelope(summary, "converge")
 
     def test_pool_failure_warns_and_serial_run_matches(self, tmp_path, monkeypatch):
-        import flockkit.cli as cli_mod
+        import concurrent.futures
         monkeypatch.setenv("FLOCKKIT_THREADS", "2")
         cfg = parse_config_text(SMALL_CONVERGE)
         run_scenario(cfg, tmp_path / "pooled")
@@ -612,7 +612,8 @@ class TestConvergeRunner:
         def no_pool(*args, **kwargs):
             raise OSError("no processes available")
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+        # the runner imports the pool where it uses it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match="2 workers.*no processes available"):
             run_scenario(cfg, tmp_path / "serial")
         pooled = (tmp_path / "pooled" / "convergence.csv").read_bytes()
@@ -639,6 +640,10 @@ _REFUSED = [
      "spectrum.n = 1 must be at least 2: the gap needs lambda_2"),
     ("entropy", SMALL_KINETIC, "entropy", "t_list", "", "ConfigError",
      "entropy.t_list is empty: give at least one time"),
+    ("converge", SMALL_KINETIC, "converge", "n_list", "", "ConfigError",
+     "converge.n_list is empty: give at least one cloud size"),
+    *[("converge", SMALL_KINETIC, "converge", "n_list", value, "ConfigError",
+       r"converge\.n_list must be positive") for value in ("-5, 40", "0, 40")],
     *[(s, base, section, key, value, "ConfigError",
        rf"{section}\.{key} must be finite, got '{re.escape(value)}'")
       for s, base, section, key, value in [

@@ -4,7 +4,8 @@
 load only where the kinetic diagnostics call them; ``scipy.integrate`` never
 loads.
 
-``import flockkit`` must not load any of them.  The spectrum goes through
+``import flockkit`` must not load any of them, nor ``multiprocessing``, which
+only the ``converge`` runner's process pool needs.  The spectrum goes through
 ``numpy.linalg.eigvalsh``, connectivity is a breadth-first search on the dense
 adjacency, the log-gradient normalizer evaluates ``K_nu`` by its own
 quadrature, the moment check sums the cumulative Simpson rule in the package,
@@ -40,7 +41,8 @@ from pathlib import Path
 
 def loaded(stage):
     scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
-    print(json.dumps([stage, [[m for m in %r if m in sys.modules], scipy]]), flush=True)
+    print(json.dumps([stage, [[m for m in %r if m in sys.modules], scipy,
+                              "multiprocessing" in sys.modules]]), flush=True)
 
 import flockkit, flockkit.cli
 loaded("import")
@@ -192,14 +194,15 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     stages = dict(json.loads(line) for line in out.stdout.splitlines())
-    # the particle scenarios, the cloud evolution and the reference density: no scipy at all
+    # the particle scenarios, the cloud evolution and the reference density: no scipy at
+    # all; and only the converge runner's process pool loads multiprocessing
     for stage in ("import", "flock-detect", "spectrum", "simulate", "evolve_cloud",
                   "flow_characteristics", "sampler built and drawn", "jacobian scenario"):
-        assert stages[stage] == [[], False], f"loaded after {stage}: {stages[stage]}"
+        assert stages[stage] == [[], False, False], f"loaded after {stage}: {stages[stage]}"
     assert stages["knn_entropy"] == [["scipy.linalg", "scipy.sparse", "scipy.spatial",
-                                      "scipy.special"], True]
+                                      "scipy.special"], True, False]
     assert stages["transport_distance"] == [["scipy.linalg", "scipy.optimize", "scipy.sparse",
-                                             "scipy.spatial", "scipy.special"], True]
+                                             "scipy.spatial", "scipy.special"], True, False]
 
 
 TORUS = Torus(2, 10.0)

@@ -429,3 +429,108 @@ assert _kernels.path_counts["fourier"] == 3 and _kernels.path_counts["direct"] =
         digests.append(out.stdout.split())
     assert len(digests[0]) == 5
     assert digests[0] == digests[1]
+
+
+# The Fourier path keeps the source side (R and the floor's sums) of its last call
+# whose targets are not its sources, keyed on the spec and the sources' bytes, and
+# builds one factor table for a self-interaction that fits one chunk.  Neither may
+# move a bit.
+
+
+def same_bits(a, b):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
+
+def cold_sums(spec, domain, x, v, y, u):
+    """The sums with the source memo emptied first."""
+    _kernels._sources.clear()
+    return _kernels.alignment_sums(spec, domain, x, v, y, u)
+
+
+def test_warm_call_gives_the_cold_bits_and_counts_each_hit():
+    spec, dom, x, v, y, u = uniform_case(2, 0.1, 600, 256, seed=61)
+    cold = cold_sums(spec, dom, x, v, y, u)
+    before = _kernels.path_counts["fourier_sources_reused"]
+    # other targets against the same sources, then a byte-identical copy of them
+    warm = _kernels.alignment_sums(spec, dom, x, v, y, u)
+    other = _kernels.alignment_sums(spec, dom, x[::-1], v[::-1], y.copy(), u.copy())
+    assert _kernels.path_counts["fourier_sources_reused"] == before + 2
+    assert same_bits(warm, cold)
+    assert same_bits(other, cold_sums(spec, dom, x[::-1], v[::-1], y, u))
+    assert len(_kernels._sources) == 1
+
+
+def test_one_flipped_source_bit_misses_the_memo():
+    spec, dom, x, v, y, u = uniform_case(2, 0.1, 600, 256, seed=62)
+    _kernels.alignment_sums(spec, dom, x, v, y, u)
+    flipped = u.copy()
+    flipped.view(np.uint64)[17, 1] ^= np.uint64(1)
+    before = _kernels.path_counts["fourier_sources_reused"]
+    got = _kernels.alignment_sums(spec, dom, x, v, y, flipped)
+    assert _kernels.path_counts["fourier_sources_reused"] == before
+    assert same_bits(got, cold_sums(spec, dom, x, v, y, flipped))
+    assert not same_bits(got, cold_sums(spec, dom, x, v, y, u))
+
+
+def test_another_width_misses_the_memo():
+    # the same sources under another kernel must not take the first kernel's R
+    spec, dom, x, v, y, u = uniform_case(2, 0.1, 600, 256, seed=63)
+    wider = GaussianPeriodized(d=2, width=2.0, period=10.0)
+    _kernels.alignment_sums(spec, dom, x, v, y, u)
+    before = _kernels.path_counts["fourier_sources_reused"]
+    got = _kernels.alignment_sums(wider, dom, x, v, y, u)
+    assert _kernels.path_counts["fourier_sources_reused"] == before
+    assert same_bits(got, cold_sums(wider, dom, x, v, y, u))
+
+
+def test_self_interaction_is_not_kept():
+    spec, dom, x, v, _, _ = uniform_case(2, 0.1, 256, 1, seed=64)
+    _kernels._sources.clear()
+    before = _kernels.path_counts["fourier_sources_reused"]
+    for _ in range(2):
+        _kernels.alignment_sums(spec, dom, x, v, x, v)
+    assert _kernels.path_counts["fourier_sources_reused"] == before
+    assert not _kernels._sources
+
+
+@pytest.mark.parametrize("chunk_elems", [None, 8000], ids=["one_chunk", "several_chunks"])
+@pytest.mark.parametrize("d,ratio,n", [(1, 0.1, 3500), (2, 0.1, 400), (3, 0.3, 400)])
+def test_shared_factor_table_gives_the_bits_of_separate_tables(d, ratio, n, chunk_elems,
+                                                               monkeypatch):
+    # with the sources passed as copies, targets and sources build their own tables;
+    # with 8000 chunk elements the sources span several chunks (d = 1: 3236 rows,
+    # d = 2: 142, d = 3: 224), so no table is shared
+    spec, dom, x, v, _, _ = uniform_case(d, ratio, n, 1, seed=65 + d)
+    if chunk_elems:
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_elems)
+    f = 2 * len(spec._fourier_modes) - 1
+    block = max(1, _kernels._PRODUCT_MACS // (f ** d * (1 + 2 * d)))
+    step = block * max(1, _kernels._CHUNK_ELEMS // (block * d * f))
+    assert (step < n) == bool(chunk_elems)
+    *shared, ran = sums_with_path(spec, dom, x, v, x, v)
+    assert ran["fourier"] == 1
+    assert same_bits(shared, cold_sums(spec, dom, x, v, x.copy(), v.copy()))
+
+
+def test_characteristics_give_the_same_bits_with_the_memo_cleared(monkeypatch):
+    from flockkit import FieldSpec, Plain, PointCloud, evolve_cloud, flow_characteristics
+    from flockkit import kinetic
+    spec, dom, x, v, y, u = uniform_case(2, 0.1, 600, 256, seed=66)
+    field = FieldSpec(spec=spec, mode=Plain())
+    curve = evolve_cloud(PointCloud(dom, y, u), field, T=0.02, dt=0.01)
+    before = _kernels.path_counts["fourier_sources_reused"]
+    kept = flow_characteristics((x, v), curve, field, t_final=0.02, dt=0.01)
+    # the curve keeps the clouds at t = 0 and 0.02, so the first drives both steps:
+    # one reduction for eight stage calls
+    assert curve.times.tolist() == [0.0, 0.02]
+    assert _kernels.path_counts["fourier_sources_reused"] == before + 7
+
+    def cleared(*args):
+        _kernels._sources.clear()
+        return _kernels.alignment_sums(*args)
+
+    monkeypatch.setattr(kinetic, "alignment_sums", cleared)
+    before = _kernels.path_counts["fourier_sources_reused"]
+    fresh = flow_characteristics((x, v), curve, field, t_final=0.02, dt=0.01)
+    assert _kernels.path_counts["fourier_sources_reused"] == before
+    assert kept.x.tobytes() == fresh.x.tobytes() and kept.v.tobytes() == fresh.v.tobytes()
