@@ -34,11 +34,11 @@ one of two paths:
   product is never formed.  Its products are split into row blocks small
   enough for one BLAS thread.  Each source-side quantity is built once: the
   reduction ``R`` and the floor's source sums of the last call whose targets
-  are not its sources are kept under the spec and the sources' bytes, and a
-  later call with byte-identical sources (the RK4 stages of a step against
-  one grid cloud of a measure curve) evaluates only its targets; a
-  self-interaction that fits one chunk builds one factor table for both
-  sides.  The results are bit-identical to building everything afresh.
+  are not its sources are kept under the spec, the row blocks and the
+  sources' bytes, and a later call with byte-identical sources (the RK4
+  stages of a step against one grid cloud of a measure curve) evaluates only
+  its targets; a self-interaction that fits one chunk builds one factor
+  table for both sides.  The results are bit-identical to building everything afresh.
 
 The Fourier path is taken at any size where the spec's image truncation
 equals the lattice sum to that tail and the cost model
@@ -96,7 +96,8 @@ _NS_MAC = 0.4
 path_counts = {"direct": 0, "fourier": 0, "fourier_fallback_rows": 0,
                "fourier_sources_reused": 0}
 # the source side (R and the floor) of the last Fourier call whose targets were not
-# its sources, keyed on the spec and the sources' bytes: one entry, replaced
+# its sources, keyed on the spec, the row blocks and the sources' bytes: one entry,
+# replaced
 _sources: dict = {}
 
 
@@ -199,36 +200,27 @@ def _factors(x: np.ndarray, period: float, k_max: int) -> np.ndarray:
 def _outer_rows(f_k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise outer product ``out[r, (f, c)] = f_k[r, f] g[r, c]``, C-contiguous.
 
-    It is written into a ``(rows, F, C)`` buffer along the longer of the two axes,
-    one ``multiply`` per column of ``g`` (runs of ``F`` factors) or per factor (runs
-    of ``C`` columns), instead of a broadcast whose innermost runs are ``C`` long;
-    each entry is still the one product.
+    While ``g`` has no more columns than ``F``, it is written into a ``(rows, F, C)``
+    buffer one ``multiply`` per column, in runs of ``F`` factors, where a broadcast
+    would run ``C`` elements at a time; each entry is still the one product.
     """
     rows, f = f_k.shape
+    if g.shape[1] > f:
+        return (f_k[:, :, None] * g[:, None, :]).reshape(rows, -1)
     out = np.empty((rows, f, g.shape[1]))
-    if g.shape[1] <= f:
-        for col in range(g.shape[1]):
-            np.multiply(f_k, g[:, col, None], out=out[:, :, col])
-    else:
-        for j in range(f):
-            np.multiply(f_k[:, j, None], g, out=out[:, j, :])
+    for col in range(g.shape[1]):
+        np.multiply(f_k, g[:, col, None], out=out[:, :, col])
     return out.reshape(rows, -1)
 
 
 def _reduce_sources(fy: np.ndarray, cols: np.ndarray, block: int, reduced: np.ndarray) -> None:
     """Add to ``reduced`` the ``R`` terms of sources with factors ``fy`` (coefficients
-    folded in) and columns ``cols``.  The outer products with the coordinates after
-    the first are formed over groups of whole row blocks of at most ``_PRODUCT_MACS``
-    elements; the contraction with the first coordinate stays one product per block.
-    """
-    d, rows, f = fy.shape
-    group = max(block, _PRODUCT_MACS // reduced.shape[1] // block * block)
-    for lo in range(0, rows, group):
-        g = cols[lo:lo + group]
-        for k in range(d - 1, 0, -1):
-            g = _outer_rows(fy[k, lo:lo + group], g)
-        for b in range(0, g.shape[0], block):
-            reduced += fy[0, lo + b:lo + b + block].T @ g[b:b + block]
+    folded in) and columns ``cols``, one row block at a time."""
+    for b in range(0, fy.shape[1], block):
+        g = cols[b:b + block]
+        for k in range(fy.shape[0] - 1, 0, -1):
+            g = _outer_rows(fy[k, b:b + block], g)
+        reduced += fy[0, b:b + block].T @ g
 
 
 def _fourier_sums(spec: GaussianPeriodized, modes: np.ndarray, x: np.ndarray,
@@ -246,8 +238,9 @@ def _fourier_sums(spec: GaussianPeriodized, modes: np.ndarray, x: np.ndarray,
     c = u[0]
 
     # R[f_1, (f_2, ..., f_d, col)] = sum_j prod_c coef_{f_c} phi_{f_c}(y_jc) col_j,
-    # and the floor's source sums; kept for the next call with the same sources
-    key = None if x is y else (spec, y.shape, y.tobytes(), u.tobytes())
+    # and the floor's source sums; kept for the next call with the same sources and
+    # the same blocks, which set R's bits
+    key = None if x is y else (spec, block, step, y.shape, y.tobytes(), u.tobytes())
     kept = None if key is None else _sources.get(key)
     # a self-interaction within one chunk builds one factor table for both sides
     shared = _factors(x, spec.period, k_max) if x is y and m <= step else None

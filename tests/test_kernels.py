@@ -22,6 +22,13 @@ RTOL = 1e-12
 EPS = np.finfo(float).eps
 
 
+@pytest.fixture(autouse=True)
+def empty_source_memo():
+    """Each test starts without a kept source reduction, so no test reuses the R of
+    an earlier one."""
+    _kernels._sources.clear()
+
+
 def fsum_row(spec, size, x_i, v_i, y, u):
     """``(den, s, scale)`` of one target row by compensated summation."""
     delta = x_i[None, :] - y
@@ -110,12 +117,14 @@ def test_fourier_at_every_size_matches_fsum(case):
 def test_fourier_row_chunks_match_one_chunk(d, ratio, monkeypatch):
     # with 8000 chunk elements the row chunks are 142 rows (two blocks of 71)
     # at d = 2, K = 13 and 224 rows (eight blocks of 28) at d = 3, K = 5, so
-    # 400 targets and 300 sources take several chunks and end in a partial block
+    # 400 targets and 300 sources take several chunks and end in a partial block;
+    # the chunked call must build its own R, not take the one-chunk call's
     spec, dom, x, v, y, u = uniform_case(d, ratio, 400, 300, seed=41 + d)
     whole = sums_with_path(spec, dom, x, v, y, u)
     monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", 8000)
     den, s, ran = sums_with_path(spec, dom, x, v, y, u)
     assert ran["fourier"] == 1 and ran["direct"] == 0 and ran["fourier_fallback_rows"] == 0
+    assert ran["fourier_sources_reused"] == 0
     assert den.tobytes() == whole[0].tobytes() and s.tobytes() == whole[1].tobytes()
     rows = np.concatenate([np.arange(0, 400, 23), [141, 142, 399]])
     assert oracle_error(spec, dom, x, v, y, u, den, s, rows) <= RTOL
